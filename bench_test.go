@@ -350,12 +350,16 @@ func benchTrainedEngine(b *testing.B) (*core.Initializer, sim.VideoData) {
 //     windows pending under the δ horizon — the dominant case, required to
 //     run at 0 allocs/op (features and the peak histogram accumulate in
 //     place; nothing is retained per message);
+//   - window-turnover: a sparse stream, four messages per window, so the
+//     cost is dominated by tokens new to their window and by window closes —
+//     also required to run at 0 allocs/op;
 //   - stream: a realistic advancing clock, so the amortized cost includes
 //     window closes, δ-finalization, and emissions.
 func BenchmarkOnlineFeed(b *testing.B) {
 	init, d := benchTrainedEngine(b)
 	msgs := d.Chat.Log.Messages()
 	b.Run("steady-state", perf.FeedSteadyState(init, msgs))
+	b.Run("window-turnover", perf.FeedWindowTurnover(init, msgs))
 	b.Run("stream", perf.FeedStream(init, msgs))
 }
 

@@ -24,7 +24,8 @@ func WriteJSONL(w io.Writer, l *Log) error {
 
 // ReadJSONL parses a JSON-lines chat log. Blank lines are skipped; any
 // malformed line is an error (silently dropping data would corrupt feature
-// values downstream).
+// values downstream). Lines in the shape WriteJSONL produces take the
+// reflection-free scanner; anything else is encoding/json's to judge.
 func ReadJSONL(r io.Reader) (*Log, error) {
 	var messages []Message
 	sc := bufio.NewScanner(r)
@@ -37,7 +38,7 @@ func ReadJSONL(r io.Reader) (*Log, error) {
 			continue
 		}
 		var m Message
-		if err := json.Unmarshal(raw, &m); err != nil {
+		if err := UnmarshalMessageJSON(raw, &m); err != nil {
 			return nil, fmt.Errorf("chat: line %d: %w", line, err)
 		}
 		messages = append(messages, m)

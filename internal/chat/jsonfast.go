@@ -14,6 +14,12 @@ import (
 // bit-identical to the stdlib's or refuse, so callers get stdlib semantics
 // at a fraction of the cost; FuzzUnmarshalMessageJSON and
 // FuzzAppendMessagesJSON enforce the equivalence differentially.
+//
+// Both entry points copy their input to a string once and scan that: every
+// decoded User and Text is a substring of the copy, so a body costs one
+// allocation however many messages it holds (and the caller's buffer can be
+// reused at once). The price is that the messages of one body share its
+// lifetime — right for batches that are consumed together.
 
 // UnmarshalMessageJSON decodes one JSON-encoded chat message into m. It is
 // a drop-in for json.Unmarshal(data, m): the common wire shape parses in a
@@ -23,9 +29,10 @@ import (
 // differential fuzz target on this function is what pins the scanner's
 // merge semantics against the stdlib's.
 func UnmarshalMessageJSON(data []byte, m *Message) error {
-	i := skipJSONSpace(data, 0)
-	out, next, ok := scanMessageObject(data, i, *m)
-	if ok && skipJSONSpace(data, next) == len(data) {
+	src := string(data)
+	i := skipJSONSpace(src, 0)
+	out, next, ok := scanMessageObject(src, i, *m)
+	if ok && skipJSONSpace(src, next) == len(src) {
 		*m = out
 		return nil
 	}
@@ -41,7 +48,8 @@ func UnmarshalMessageJSON(data []byte, m *Message) error {
 // input; on false the caller must fall back to encoding/json (dst's
 // appended prefix is then meaningless) — the input may still be perfectly
 // valid JSON, just outside the fast shape.
-func AppendMessagesJSON(dst []Message, data []byte) (out []Message, next int, ok bool) {
+func AppendMessagesJSON(dst []Message, body []byte) (out []Message, next int, ok bool) {
+	data := string(body)
 	i := skipJSONSpace(data, 0)
 	if i >= len(data) || data[i] != '[' {
 		return dst, 0, false
@@ -78,7 +86,7 @@ func AppendMessagesJSON(dst []Message, data []byte) (out []Message, next int, ok
 // including every case where the stdlib's semantics are subtle (escape
 // sequences, invalid UTF-8 coercion, case-insensitive key matching,
 // unknown fields, number edge grammar).
-func scanMessageObject(data []byte, i int, base Message) (m Message, next int, ok bool) {
+func scanMessageObject(data string, i int, base Message) (m Message, next int, ok bool) {
 	if i >= len(data) || data[i] != '{' {
 		return base, 0, false
 	}
@@ -96,7 +104,7 @@ func scanMessageObject(data []byte, i int, base Message) (m Message, next int, o
 			return base, 0, false
 		}
 		i = skipJSONSpace(data, i+1)
-		switch string(key) { // compiled to direct comparisons: no allocation
+		switch key {
 		case "time":
 			val, vn, vok := scanJSONNumber(data, i)
 			if !vok {
@@ -109,14 +117,14 @@ func scanMessageObject(data []byte, i int, base Message) (m Message, next int, o
 			if !vok {
 				return base, 0, false
 			}
-			base.User = string(val)
+			base.User = val
 			i = vn
 		case "text":
 			val, vn, vok := scanJSONString(data, i)
 			if !vok {
 				return base, 0, false
 			}
-			base.Text = string(val)
+			base.Text = val
 			i = vn
 		default:
 			// Unknown (or case-folded) key: stdlib has matching rules the
@@ -138,7 +146,7 @@ func scanMessageObject(data []byte, i int, base Message) (m Message, next int, o
 	}
 }
 
-func skipJSONSpace(data []byte, i int) int {
+func skipJSONSpace(data string, i int) int {
 	for i < len(data) {
 		switch data[i] {
 		case ' ', '\t', '\n', '\r':
@@ -151,12 +159,12 @@ func skipJSONSpace(data []byte, i int) int {
 }
 
 // scanJSONString scans a double-quoted string starting at data[i] and
-// returns the raw bytes between the quotes. Escapes, control characters,
-// and invalid UTF-8 all reject: each has coercion rules only encoding/json
-// should implement.
-func scanJSONString(data []byte, i int) (val []byte, next int, ok bool) {
+// returns the text between the quotes, a substring of data. Escapes,
+// control characters, and invalid UTF-8 all reject: each has coercion rules
+// only encoding/json should implement.
+func scanJSONString(data string, i int) (val string, next int, ok bool) {
 	if i >= len(data) || data[i] != '"' {
-		return nil, 0, false
+		return "", 0, false
 	}
 	start := i + 1
 	ascii := true
@@ -165,23 +173,23 @@ func scanJSONString(data []byte, i int) (val []byte, next int, ok bool) {
 		switch {
 		case c == '"':
 			val = data[start:j]
-			if !ascii && !utf8.Valid(val) {
-				return nil, 0, false // stdlib would splice in U+FFFD
+			if !ascii && !utf8.ValidString(val) {
+				return "", 0, false // stdlib would splice in U+FFFD
 			}
 			return val, j + 1, true
 		case c == '\\' || c < 0x20:
-			return nil, 0, false
+			return "", 0, false
 		case c >= 0x80:
 			ascii = false
 		}
 	}
-	return nil, 0, false
+	return "", 0, false
 }
 
 // scanJSONNumber scans a number matching the strict JSON grammar
 // (-?int[.frac][(e|E)[±]exp]) so the fast path never accepts what
 // encoding/json would reject (e.g. "1." or "+5").
-func scanJSONNumber(data []byte, i int) (val float64, next int, ok bool) {
+func scanJSONNumber(data string, i int) (val float64, next int, ok bool) {
 	j := i
 	if j < len(data) && data[j] == '-' {
 		j++
@@ -216,7 +224,7 @@ func scanJSONNumber(data []byte, i int) (val float64, next int, ok bool) {
 			return 0, 0, false
 		}
 	}
-	f, err := strconv.ParseFloat(string(data[i:j]), 64)
+	f, err := strconv.ParseFloat(data[i:j], 64)
 	if err != nil {
 		return 0, 0, false
 	}

@@ -3,6 +3,7 @@ package chat
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -73,7 +74,7 @@ func TestUnmarshalMessageJSONDifferential(t *testing.T) {
 func TestUnmarshalMessageJSONFastPathTaken(t *testing.T) {
 	// Sanity that the common shape actually takes the fast path (the
 	// differential test alone would pass even if everything fell back).
-	m, next, ok := scanMessageObject([]byte(`{"time":12.5,"user":"v","text":"gg"}`), 0, Message{})
+	m, next, ok := scanMessageObject(`{"time":12.5,"user":"v","text":"gg"}`, 0, Message{})
 	if !ok || next != len(`{"time":12.5,"user":"v","text":"gg"}`) {
 		t.Fatal("canonical wire shape did not take the fast path")
 	}
@@ -85,7 +86,7 @@ func TestUnmarshalMessageJSONFastPathTaken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _, ok := scanMessageObject(data, 0, Message{})
+	rt, _, ok := scanMessageObject(string(data), 0, Message{})
 	if !ok {
 		t.Fatalf("marshal output %s did not take the fast path", data)
 	}
@@ -148,6 +149,46 @@ func TestAppendMessagesJSONDifferential(t *testing.T) {
 	out, _, ok := AppendMessagesJSON(dst, []byte(`[{"time":1}]`))
 	if !ok || len(out) != 2 || out[0].User != "keep" || out[1].Time != 1 {
 		t.Fatalf("append semantics broken: %+v ok=%v", out, ok)
+	}
+}
+
+// TestAppendMessagesJSONOneAllocation pins the decoder's memory contract:
+// one allocation per body (the string every User and Text is cut from), not
+// two per message, and no decoded field aliasing the caller's buffer — the
+// live endpoint refills that buffer with the next request.
+func TestAppendMessagesJSONOneAllocation(t *testing.T) {
+	var body bytes.Buffer
+	body.WriteByte('[')
+	for i := 0; i < 64; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"time":%d.5,"user":"viewer%d","text":"what a play %d"}`, i, i, i)
+	}
+	body.WriteByte(']')
+	data := body.Bytes()
+
+	dst := make([]Message, 0, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := AppendMessagesJSON(dst[:0], data); !ok {
+			t.Fatal("canonical body did not take the fast path")
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("decoding 64 messages took %.0f allocations, want 1", allocs)
+	}
+
+	msgs, _, _ := AppendMessagesJSON(nil, data)
+	for i := range data {
+		data[i] = 'X'
+	}
+	for i, m := range msgs {
+		if want := fmt.Sprintf("viewer%d", i); m.User != want {
+			t.Fatalf("message %d user = %q after the buffer was reused, want %q", i, m.User, want)
+		}
+		if want := fmt.Sprintf("what a play %d", i); m.Text != want {
+			t.Fatalf("message %d text = %q after the buffer was reused, want %q", i, m.Text, want)
+		}
 	}
 }
 

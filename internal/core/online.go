@@ -31,7 +31,9 @@ import (
 // window and recomputed only when the running min/max normalization
 // actually moves (tracked by an epoch counter), and the δ-neighborhood
 // check walks only the sorted neighbors of a window instead of scanning
-// every pending window.
+// every pending window. Pending windows are not even looked at by a Feed
+// that neither closes a window nor moves the clock past the next deadline
+// at which one of them finalizes or expires (collectAt).
 type OnlineDetector struct {
 	init *Initializer
 	// Threshold is the minimum model probability for a window to produce
@@ -54,6 +56,10 @@ type OnlineDetector struct {
 	hist     *stats.Histogram // message-rate bins for the peak location
 
 	pending []onlineWindow // closed windows awaiting finalization, by start
+	// collectAt is the earliest clock value at which collect has work to
+	// do on the pending windows as they stand. It is derived state,
+	// recomputed by every full collect, and not part of a snapshot.
+	collectAt float64
 
 	mins, maxs []float64 // running feature minima / maxima
 	haveNorm   bool
@@ -90,7 +96,7 @@ func NewOnlineDetector(init *Initializer, threshold float64) (*OnlineDetector, e
 	if threshold <= 0 {
 		threshold = 0.5
 	}
-	o := &OnlineDetector{init: init, threshold: threshold, warmup: 300}
+	o := &OnlineDetector{init: init, threshold: threshold, warmup: 300, collectAt: math.Inf(-1)}
 	o.acc.Reset()
 	dim := init.cfg.Features.Dim()
 	o.mins = make([]float64, dim)
@@ -102,7 +108,10 @@ func NewOnlineDetector(init *Initializer, threshold float64) (*OnlineDetector, e
 
 // SetWarmup overrides the warm-up horizon in seconds (0 disables it).
 // Call it before the first Feed.
-func (o *OnlineDetector) SetWarmup(seconds float64) { o.warmup = seconds }
+func (o *OnlineDetector) SetWarmup(seconds float64) {
+	o.warmup = seconds
+	o.collectAt = math.Inf(-1) // the deadline was computed from the old horizon
+}
 
 // vec projects features into an inline fixed-size vector (no allocation).
 func (o *OnlineDetector) vec(f Features) featVec {
@@ -124,7 +133,8 @@ func (o *OnlineDetector) Feed(m chat.Message) ([]RedDot, error) {
 	size := o.init.cfg.WindowSize
 
 	// Close the window the clock has passed, if any.
-	if o.open && m.Time >= o.curEnd {
+	closed := o.open && m.Time >= o.curEnd
+	if closed {
 		o.closeCurrent()
 	}
 	if !o.open {
@@ -133,7 +143,12 @@ func (o *OnlineDetector) Feed(m chat.Message) ([]RedDot, error) {
 	}
 	o.acc.Add(m.Text)
 	o.hist.Add(m.Time)
-	return o.collect(), nil
+	// A closed window changes the pending set (and possibly every score);
+	// otherwise nothing can finalize before the clock reaches collectAt.
+	if closed || o.now >= o.collectAt {
+		return o.collect(), nil
+	}
+	return nil, nil
 }
 
 // Advance moves the stream clock without a message (heartbeats during
@@ -352,6 +367,19 @@ func (o *OnlineDetector) collect() []RedDot {
 	if firstLive > 0 {
 		n := copy(o.pending, o.pending[firstLive:])
 		o.pending = o.pending[:n]
+	}
+	// The next moment any of the conditions above flips: an unfinished
+	// window reaching end+δ (and the warm-up ending), or the head of the
+	// list, once finished, reaching end+2δ.
+	o.collectAt = math.Inf(1)
+	for i := range o.pending {
+		pw := &o.pending[i]
+		switch {
+		case !pw.done:
+			o.collectAt = min(o.collectAt, max(pw.end+delta, o.warmup))
+		case i == 0:
+			o.collectAt = min(o.collectAt, pw.end+2*delta)
+		}
 	}
 	return newDots
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 
 	"lightor/internal/chat"
@@ -200,4 +201,52 @@ func chatMsg(ts float64) chat.Message { return chat.Message{Time: ts, Text: "hi"
 
 func chatMsgText(ts float64, text string) chat.Message {
 	return chat.Message{Time: ts, Text: text}
+}
+
+// TestFeedCollectDeadlineIsExact holds the lazy collect (Feed looks at the
+// pending windows only when one closed or the clock reached collectAt)
+// against an eager twin that is forced through a full collect on every
+// message: restoring a snapshot forgets the deadline. After every message
+// the two must have returned the same dots and serialize to the same bytes
+// — finalizations, memoized scores and the pruned prefix included — with
+// the warm-up horizon left at its default so that threshold is crossed too.
+func TestFeedCollectDeadlineIsExact(t *testing.T) {
+	init, test := trainedInit(t, 413)
+	msgs := test[0].Chat.Log.Messages()
+	lazy, err := core.NewOnlineDetector(init, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := core.NewOnlineDetector(init, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap, lazySnap []byte
+	dots := 0
+	for i, m := range msgs {
+		snap = eager.AppendSnapshot(snap[:0])
+		if err := eager.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		want, err := eager.Feed(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := lazy.Feed(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameDots(got, want) {
+			t.Fatalf("message %d (t=%.1f): lazy Feed returned %v, eager %v", i, m.Time, got, want)
+		}
+		dots += len(got)
+		snap = eager.AppendSnapshot(snap[:0])
+		lazySnap = lazy.AppendSnapshot(lazySnap[:0])
+		if !bytes.Equal(lazySnap, snap) {
+			t.Fatalf("message %d (t=%.1f): lazy and eager detector state differ", i, m.Time)
+		}
+	}
+	if dots == 0 {
+		t.Fatal("no dots emitted mid-stream; the test is vacuous")
+	}
 }

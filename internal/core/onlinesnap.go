@@ -409,6 +409,7 @@ func (o *OnlineDetector) RestoreSnapshot(data []byte) error {
 		o.hist = nil
 	}
 	o.pending = pending
+	o.collectAt = math.Inf(-1)
 	o.mins = mins
 	o.maxs = maxs
 	o.haveNorm = haveNorm

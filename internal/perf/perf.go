@@ -52,10 +52,9 @@ func textPool(msgs []chat.Message) []chat.Message {
 // FeedSteadyState measures one Feed landing in the open window — the
 // dominant live-stream case — and must run at 0 allocs/op (the CI gate).
 // The detector is warmed past several window closes first, leaving closed
-// windows pending under the δ horizon, so each measured Feed includes the
-// per-feed collect() scan over live pending state; without that warm-up the
-// loop would degenerate to the no-normalization early return and the gate
-// would not cover the path it protects.
+// windows pending under the δ horizon, so each measured Feed runs against
+// live pending state and takes the production path: the clock sits below
+// the next finalization deadline, so the pending windows are not walked.
 func FeedSteadyState(init *core.Initializer, msgs []chat.Message) func(*testing.B) {
 	return func(b *testing.B) {
 		pool := textPool(msgs)
@@ -66,8 +65,7 @@ func FeedSteadyState(init *core.Initializer, msgs []chat.Message) func(*testing.
 		od.SetWarmup(0)
 		size := init.Config().WindowSize
 		// Stream through four windows; with the default δ = 120 s none of
-		// them can finalize by the time the clock holds below, so collect()
-		// scans them on every measured Feed.
+		// them can finalize by the time the clock holds below.
 		n := 0
 		for t := 0.0; t < 4*size; t += size / 64 {
 			if _, err := od.Feed(chat.Message{Time: t, Text: pool[n%len(pool)].Text}); err != nil {
@@ -86,6 +84,39 @@ func FeedSteadyState(init *core.Initializer, msgs []chat.Message) func(*testing.
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			od.Feed(chat.Message{Time: hold, Text: pool[i%len(pool)].Text})
+		}
+	}
+}
+
+// FeedWindowTurnover measures Feed on a sparse stream: four messages per
+// window, so every fourth Feed closes a window, scores it, and opens the
+// next one on an empty vocabulary. It must run at 0 allocs/op like the
+// steady state (the CI gate): a token new to its window is an append to the
+// warm token arena, and a window close reuses the pending list in place.
+func FeedWindowTurnover(init *core.Initializer, msgs []chat.Message) func(*testing.B) {
+	return func(b *testing.B) {
+		pool := textPool(msgs)
+		od, err := core.NewOnlineDetector(init, 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		od.SetWarmup(0)
+		step := init.Config().WindowSize / 4
+		feed := func(i int) {
+			if _, err := od.Feed(chat.Message{Time: float64(i) * step, Text: pool[i%len(pool)].Text}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// Warm the arena, the pending list and the emission history past
+		// their growth steps.
+		warm := 8 * len(pool)
+		for i := 0; i < warm; i++ {
+			feed(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			feed(warm + i)
 		}
 	}
 }

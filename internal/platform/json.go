@@ -163,8 +163,9 @@ var eventDecPool = sync.Pool{New: func() any { return newStreamDecoder[play.Even
 // one reflection-free pass (chat.AppendMessagesJSON); bodies outside the
 // fast shape re-decode through encoding/json on the same buffer, so
 // observable semantics stay the stdlib's. Chat is the highest-rate stream
-// in the system — at goal-moment burst rates this path runs with zero
-// per-request buffer garbage.
+// in the system — at goal-moment burst rates this path costs one allocation
+// per request: the string copy of the body that every decoded User and Text
+// is a substring of (which is also what lets buf be refilled at once).
 type chatIngest struct {
 	buf   []byte
 	elems []chat.Message

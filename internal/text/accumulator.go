@@ -37,21 +37,24 @@ import (
 //
 // The zero value is not ready for use; call Reset first (or use
 // NewSimilarityAccumulator). Reset reuses all internal buffers, so one
-// accumulator serves an unbounded stream of windows without growing memory
-// beyond the largest window seen.
+// accumulator serves an unbounded stream of windows; buffers a flash crowd
+// inflated are released again once ordinary windows follow (see Reset).
 type SimilarityAccumulator struct {
-	vocab   map[string]int // token → dense id for this window
-	counts  []float64      // id → number of messages containing the token
-	weights []float64      // id → Σ 1/√|T_m| over messages containing it
-	seen    []int          // id → ordinal of the last message containing it
-	n       int            // messages added, including empty ones
-	dotSum  float64        // Σ_t counts[t]·weights[t], maintained incrementally
-	sumSq   float64        // Σ_t counts[t]², maintained incrementally
+	vocab   windowVocab // token → dense id for this window
+	counts  []float64   // id → number of messages containing the token
+	weights []float64   // id → Σ 1/√|T_m| over messages containing it
+	seen    []int       // id → ordinal of the last message containing it
+	n       int         // messages added, including empty ones
+	dotSum  float64     // Σ_t counts[t]·weights[t], maintained incrementally
+	sumSq   float64     // Σ_t counts[t]², maintained incrementally
 
-	distinct []int  // scratch: distinct token ids of the message being added
-	tok      []byte // scratch: lowercase bytes of the token being scanned
-	msgWords int    // scratch: token count of the message being added
+	distinct []int        // scratch: distinct token ids of the message being added
+	scan     tokenScanner // scratch: the tokens of the message being added
 }
+
+// scanShrinkBytes is the scan scratch an accumulator keeps across windows;
+// ordinary chat messages are two orders of magnitude shorter.
+const scanShrinkBytes = 8 << 10
 
 // NewSimilarityAccumulator returns a ready-to-use accumulator.
 func NewSimilarityAccumulator() *SimilarityAccumulator {
@@ -60,15 +63,21 @@ func NewSimilarityAccumulator() *SimilarityAccumulator {
 	return a
 }
 
-// Reset clears the accumulator for a fresh window. Internal buffers (the
-// vocabulary's buckets, the per-token arrays, the token scratch space) are
-// retained, so steady-state per-window cost settles at zero allocations for
-// recurring vocabulary.
+// Reset clears the accumulator for a fresh window in O(1): nothing is
+// cleared or walked, whatever the size of the window just closed. Internal
+// buffers (the vocabulary's table and token arena, the per-token arrays,
+// the scan scratch) are retained, so windows after the first few allocate
+// nothing — except where that would pin a flash crowd's memory for the rest
+// of the session: when the vocabulary drops a table the crowd inflated (the
+// window just closed used under 1/8 of it) the per-token arrays sized for
+// that crowd go with it, and scan scratch stretched by an outsized message
+// is dropped outright.
 func (a *SimilarityAccumulator) Reset() {
-	if a.vocab == nil {
-		a.vocab = make(map[string]int)
-	} else {
-		clear(a.vocab)
+	if a.vocab.reset() {
+		a.counts, a.weights, a.seen, a.distinct = nil, nil, nil, nil
+	}
+	if cap(a.scan.buf) > scanShrinkBytes {
+		a.scan = tokenScanner{}
 	}
 	a.counts = a.counts[:0]
 	a.weights = a.weights[:0]
@@ -85,13 +94,27 @@ func (a *SimilarityAccumulator) Messages() int { return a.n }
 // Add folds one message into the window and returns its word count (the
 // total token count, duplicates included — the paper's message-length
 // feature), so callers tokenize each message exactly once for both the
-// length and similarity features. Steady-state Add performs no allocations:
-// only a token never seen in this window interns a new vocabulary string.
+// length and similarity features. Add performs no allocations once the
+// buffers have grown to the stream's working size: a token new to the
+// window is an append to the vocabulary's arena, not a heap string.
 func (a *SimilarityAccumulator) Add(message string) (words int) {
 	a.n++
-	a.msgWords = 0
 	a.distinct = a.distinct[:0]
-	a.tok = scanTokens(message, a.tok, a)
+	a.scan.scan(message)
+	start := 0
+	for _, end := range a.scan.ends {
+		id, added := a.vocab.intern(a.scan.buf[start:end])
+		start = end
+		if added {
+			a.counts = append(a.counts, 0)
+			a.weights = append(a.weights, 0)
+			a.seen = append(a.seen, 0) // message ordinals start at 1
+		}
+		if a.seen[id] != a.n {
+			a.seen[id] = a.n
+			a.distinct = append(a.distinct, id)
+		}
+	}
 
 	if k := len(a.distinct); k > 0 {
 		w := 1 / math.Sqrt(float64(k))
@@ -103,26 +126,7 @@ func (a *SimilarityAccumulator) Add(message string) (words int) {
 			a.weights[id] = wt + w
 		}
 	}
-	return a.msgWords
-}
-
-// token implements tokenSink: one lowercase token of the message being
-// added. The byte slice is scratch memory — its contents are only valid for
-// the duration of the call.
-func (a *SimilarityAccumulator) token(tok []byte) {
-	id, ok := a.vocab[string(tok)] // no allocation: compiler-optimized lookup
-	if !ok {
-		id = len(a.counts)
-		a.vocab[string(tok)] = id
-		a.counts = append(a.counts, 0)
-		a.weights = append(a.weights, 0)
-		a.seen = append(a.seen, 0) // message ordinals start at 1
-	}
-	a.msgWords++
-	if a.seen[id] != a.n {
-		a.seen[id] = a.n
-		a.distinct = append(a.distinct, id)
-	}
+	return len(a.scan.ends)
 }
 
 // AccumulatorState is the complete incremental state of a
@@ -143,16 +147,13 @@ type AccumulatorState struct {
 // State returns a deep copy of the accumulator's incremental state.
 func (a *SimilarityAccumulator) State() AccumulatorState {
 	st := AccumulatorState{
-		Tokens:  make([]string, len(a.counts)),
+		Tokens:  a.vocab.tokens(),
 		Counts:  append([]float64(nil), a.counts...),
 		Weights: append([]float64(nil), a.weights...),
 		Seen:    append([]int(nil), a.seen...),
 		N:       a.n,
 		DotSum:  a.dotSum,
 		SumSq:   a.sumSq,
-	}
-	for tok, id := range a.vocab {
-		st.Tokens[id] = tok
 	}
 	return st
 }
@@ -172,11 +173,12 @@ func (a *SimilarityAccumulator) SetState(st AccumulatorState) error {
 		return fmt.Errorf("text: negative message count %d", st.N)
 	}
 	a.Reset()
-	for id, tok := range st.Tokens {
-		if _, dup := a.vocab[tok]; dup {
+	for _, tok := range st.Tokens {
+		a.scan.buf = append(a.scan.buf[:0], tok...)
+		if _, added := a.vocab.intern(a.scan.buf); !added {
+			a.Reset()
 			return fmt.Errorf("text: duplicate token %q in accumulator state", tok)
 		}
-		a.vocab[tok] = id
 	}
 	a.counts = append(a.counts[:0], st.Counts...)
 	a.weights = append(a.weights[:0], st.Weights...)

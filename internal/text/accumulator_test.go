@@ -1,11 +1,16 @@
 package text_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"lightor/internal/chat"
+	"lightor/internal/sim"
+	"lightor/internal/stats"
 	"lightor/internal/text"
 )
 
@@ -144,6 +149,105 @@ func TestSimilarityAccumulatorReuse(t *testing.T) {
 	}
 }
 
+// TestSimilarityAccumulatorZeroAllocAcrossReset pins the allocation
+// contract across window turnover, not just inside one window: once the
+// buffers have seen the stream's working size, windows full of tokens that
+// are new to them (every window's first messages) allocate nothing.
+func TestSimilarityAccumulatorZeroAllocAcrossReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	windows := make([][]string, 8)
+	for w := range windows {
+		for i := 0; i < 12; i++ {
+			windows[w] = append(windows[w], randomMessage(rng)+" "+strings.Repeat("w", w+1))
+		}
+	}
+	acc := text.NewSimilarityAccumulator()
+	turnover := func() {
+		for _, msgs := range windows {
+			acc.Reset()
+			for _, m := range msgs {
+				acc.Add(m)
+			}
+		}
+	}
+	turnover() // warm: grow the table, the arena and the per-token arrays
+	if allocs := testing.AllocsPerRun(50, turnover); allocs != 0 {
+		t.Errorf("%.1f allocs per %d windows, want 0", allocs, len(windows))
+	}
+}
+
+// TestAccumulatorStateRoundTripAfterGrowth captures the state right after
+// the vocabulary's table grew (the rehash is where ids could get lost) and
+// requires the restored accumulator to continue bit-identically.
+func TestAccumulatorStateRoundTripAfterGrowth(t *testing.T) {
+	acc := text.NewSimilarityAccumulator()
+	var want []string
+	for i := 0; i < 300; i++ { // crosses several doublings of a 64-slot table
+		tok := fmt.Sprintf("tok%sn%d", strings.Repeat("x", i%11), i)
+		acc.Add(tok + " shared")
+		if i == 0 {
+			want = append(want, tok, "shared")
+		} else {
+			want = append(want, tok)
+		}
+
+		st := acc.State()
+		if len(st.Tokens) != len(want) {
+			t.Fatalf("after %d messages: %d tokens in state, want %d", i+1, len(st.Tokens), len(want))
+		}
+		for id, tok := range want {
+			if st.Tokens[id] != tok {
+				t.Fatalf("after %d messages: token %d = %q, want %q (ids must stay first-seen order)", i+1, id, st.Tokens[id], tok)
+			}
+		}
+		restored := text.NewSimilarityAccumulator()
+		restored.Add("polluted before restore")
+		if err := restored.SetState(st); err != nil {
+			t.Fatal(err)
+		}
+		// Continue both with a message mixing known and new tokens.
+		next := tok + " shared brand new"
+		probe := text.NewSimilarityAccumulator()
+		if err := probe.SetState(acc.State()); err != nil {
+			t.Fatal(err)
+		}
+		probe.Add(next)
+		restored.Add(next)
+		if a, b := probe.State(), restored.State(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("after %d messages: restored accumulator diverged:\n%+v\n%+v", i+1, a, b)
+		}
+	}
+}
+
+func TestAccumulatorSetStateRejectsBadInput(t *testing.T) {
+	good := text.AccumulatorState{
+		Tokens: []string{"gg", "wp"}, Counts: []float64{1, 1}, Weights: []float64{0.7, 0.7},
+		Seen: []int{1, 1}, N: 1, DotSum: 1.4, SumSq: 2,
+	}
+	acc := text.NewSimilarityAccumulator()
+	if err := acc.SetState(good); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+
+	dup := good
+	dup.Tokens = []string{"gg", "gg"}
+	short := good
+	short.Counts = []float64{1}
+	negative := good
+	negative.N = -1
+	for name, st := range map[string]text.AccumulatorState{"duplicate token": dup, "inconsistent lengths": short, "negative n": negative} {
+		if err := acc.SetState(st); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		// A rejected state must not leave a half-restored accumulator
+		// behind: vocabulary and per-token arrays stay in step.
+		acc.Add("gg wp after rejection")
+		if got := acc.State(); len(got.Tokens) != len(got.Counts) {
+			t.Errorf("%s: %d tokens but %d counts after the rejection", name, len(got.Tokens), len(got.Counts))
+		}
+	}
+}
+
 func BenchmarkSimilarityAccumulatorAdd(b *testing.B) {
 	pool := make([]string, 64)
 	rng := rand.New(rand.NewSource(3))
@@ -158,5 +262,43 @@ func BenchmarkSimilarityAccumulatorAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc.Add(pool[i%len(pool)])
+	}
+}
+
+// simStream returns the chat of one simulated Dota 2 broadcast, with the
+// chat rate multiplied by density.
+func simStream(seed int64, density float64) []chat.Message {
+	p := sim.Dota2Profile()
+	p.BackgroundRate *= density
+	p.BurstMin = int(float64(p.BurstMin) * density)
+	p.BurstMax = int(float64(p.BurstMax) * density)
+	return sim.GenerateDataset(stats.NewRand(seed), p, 1)[0].Chat.Log.Messages()
+}
+
+// BenchmarkSimilarityAccumulatorStream replays simulated broadcasts through
+// one accumulator the way the detector does, a Reset at every 25 s window
+// boundary: sparse windows hold a handful of messages (mostly tokens new to
+// the window), dense ones hundreds (mostly repeats).
+func BenchmarkSimilarityAccumulatorStream(b *testing.B) {
+	const window = 25.0
+	for _, bc := range []struct {
+		name    string
+		density float64
+	}{{"sparse", 1}, {"dense", 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			msgs := simStream(5, bc.density)
+			acc := text.NewSimilarityAccumulator()
+			b.ReportAllocs()
+			b.ResetTimer()
+			end := 0.0
+			for i := 0; i < b.N; i++ {
+				m := msgs[i%len(msgs)]
+				if i%len(msgs) == 0 || m.Time >= end {
+					acc.Reset()
+					end = (math.Floor(m.Time/window) + 1) * window
+				}
+				acc.Add(m.Text)
+			}
+		})
 	}
 }

@@ -12,6 +12,11 @@
 //     sparsely as messages stream in, tokenizing each message exactly once
 //     and allocating nothing in steady state. This is the form the hot
 //     per-message Feed path uses; core.FeatureAccumulator builds on it.
+//
+// The accumulator is where a live chat message spends most of its time, so
+// its two inner pieces are purpose-built: a byte-class tokenizer
+// (tokenScanner) and an arena-backed window vocabulary with O(1) reset
+// (windowVocab). The reference path keeps the plain Vocabulary below.
 package text
 
 import (
@@ -27,61 +32,123 @@ func isTokenRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || unicode.IsSymbol(r)
 }
 
-// tokenSink receives each token of a scan. The byte slice is scratch memory
-// reused between tokens: implementations must copy it if they retain it.
-type tokenSink interface {
-	token(tok []byte)
-}
+// byteClass drives the scan loop one byte at a time. Chat text is almost
+// entirely ASCII, so the per-rune unicode range searches are folded into a
+// 256-entry table built once, from the same predicates the rune path uses:
+//
+//   - byteSep: an ASCII byte that is not part of a token;
+//   - byteRune: a byte ≥ 0x80 — decode the rune and classify it the slow way;
+//   - anything else: the lowercase form of an ASCII token byte (upper-case
+//     letters map to their lower-case byte, the rest to themselves).
+//
+// NUL is a control character and no ASCII byte folds to 0xFF, so neither
+// sentinel collides with a folded byte.
+const (
+	byteSep  = 0x00
+	byteRune = 0xFF
+)
 
-// scanTokens splits s into lowercase tokens, invoking sink.token for each.
-// buf is the reusable scratch buffer for token bytes; the (possibly grown)
-// buffer is returned so callers can keep it for the next scan. This is the
-// single tokenization loop behind Tokenize, WordCount, and the streaming
+var byteClass = func() (t [256]byte) {
+	for b := 0; b < utf8.RuneSelf; b++ {
+		if isTokenRune(rune(b)) {
+			t[b] = byte(unicode.ToLower(rune(b)))
+		}
+	}
+	for b := utf8.RuneSelf; b < len(t); b++ {
+		t[b] = byteRune
+	}
+	return t
+}()
+
+// tokenScanner splits strings into lowercase tokens. It is the single
+// tokenization loop behind Tokenize, WordCount, and the streaming
 // SimilarityAccumulator, so every consumer agrees byte-for-byte on token
-// boundaries and case folding.
-func scanTokens(s string, buf []byte, sink tokenSink) []byte {
-	buf = buf[:0]
-	for _, r := range s {
-		if isTokenRune(r) {
-			buf = utf8.AppendRune(buf, unicode.ToLower(r))
-			continue
-		}
-		if len(buf) > 0 {
-			sink.token(buf)
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		sink.token(buf)
-	}
-	return buf
+// boundaries and case folding. Invalid UTF-8 decodes to U+FFFD one byte at a
+// time, exactly as ranging over the string would.
+//
+// After scan, the tokens of the string lie back to back in buf and ends[k]
+// is the offset just past token k (token k starts where token k-1 ends).
+// Both buffers are scratch, reused by the next scan.
+type tokenScanner struct {
+	buf  []byte
+	ends []int
 }
 
-// sliceSink collects tokens as freshly allocated strings.
-type sliceSink struct{ tokens []string }
+// tokenSlack is the spare capacity scan leaves behind the last token, so
+// that consumers may load any token's first 8 bytes as one word.
+const tokenSlack = 8
 
-func (s *sliceSink) token(tok []byte) { s.tokens = append(s.tokens, string(tok)) }
-
-// countSink counts tokens without materializing them.
-type countSink struct{ n int }
-
-func (s *countSink) token([]byte) { s.n++ }
+// scan tokenizes s. The ASCII path is branch-free per byte: where a token
+// ends is not something a branch predictor can learn, so every byte stores
+// its folded form and the running end offset, and advances the two cursors
+// by 0 or 1 — a separator's store is simply overwritten by the next byte.
+func (sc *tokenScanner) scan(s string) {
+	// Every input byte yields at most one output byte on the ASCII path, and
+	// tokens need a separator between them. The rune path re-establishes the
+	// byte bound after each rune (lowercasing can lengthen the encoding).
+	if cap(sc.buf) < len(s)+tokenSlack {
+		sc.buf = make([]byte, len(s)+len(s)/4+tokenSlack)
+	}
+	if maxTokens := len(s)/2 + 1; cap(sc.ends) <= maxTokens {
+		sc.ends = make([]int, maxTokens+1+maxTokens/4)
+	}
+	buf, ends := sc.buf[:cap(sc.buf)], sc.ends[:cap(sc.ends)]
+	n, k := 0, 0 // bytes written, tokens completed
+	inTok := 0   // 1 while the previous rune was part of a token
+	for i := 0; i < len(s); {
+		c := byteClass[s[i]]
+		isTok := int(uint(c)+0xFF) >> 8 // 0 for byteSep, else 1
+		if c != byteRune {
+			i++
+			buf[n] = c
+			n += isTok
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+			if isTokenRune(r) {
+				buf = utf8.AppendRune(buf[:n], unicode.ToLower(r))
+				n = len(buf)
+				if need := n + len(s) - i + tokenSlack; cap(buf) < need {
+					buf = append(buf, make([]byte, need-n)...)
+				}
+				buf = buf[:cap(buf)]
+			} else {
+				isTok = 0
+			}
+		}
+		ends[k] = n
+		k += inTok &^ isTok // a token just ended
+		inTok = isTok
+	}
+	ends[k] = n
+	k += inTok
+	sc.buf, sc.ends = buf[:n], ends[:k]
+}
 
 // Tokenize splits a chat message into lowercase word tokens (see
 // isTokenRune for the token alphabet).
 func Tokenize(s string) []string {
-	var sink sliceSink
-	scanTokens(s, nil, &sink)
-	return sink.tokens
+	var sc tokenScanner
+	sc.scan(s)
+	if len(sc.ends) == 0 {
+		return nil
+	}
+	tokens := make([]string, len(sc.ends))
+	start := 0
+	for k, end := range sc.ends {
+		tokens[k] = string(sc.buf[start:end])
+		start = end
+	}
+	return tokens
 }
 
 // WordCount returns the number of word tokens in a message. The paper
 // defines message length as "the number of words in the message"
-// (Section IV-C2). It counts without allocating token strings.
+// (Section IV-C2).
 func WordCount(s string) int {
-	var sink countSink
-	scanTokens(s, nil, &sink)
-	return sink.n
+	var sc tokenScanner
+	sc.scan(s)
+	return len(sc.ends)
 }
 
 // Vocabulary maps tokens to dense indices. A fresh vocabulary is built per
