@@ -96,7 +96,7 @@ func newReplFixture(b *testing.B, init *core.Initializer, n int, ckptEvery time.
 			return nil, err
 		}
 		rn.node.Secret = replSecret
-		be, err := platform.OpenFileBackend(b.TempDir(), platform.FileConfig{SyncInterval: time.Millisecond})
+		be, err := platform.OpenFileBackend(b.TempDir(), platform.FileConfig{})
 		if err != nil {
 			fx.closeAll()
 			return nil, err

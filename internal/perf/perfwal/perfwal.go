@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"lightor/internal/chat"
 	"lightor/internal/core"
@@ -76,12 +75,9 @@ func CheckpointLatency(init *core.Initializer, msgs []chat.Message) func(*testin
 				b.Fatal(err)
 			}
 		}
-		// SyncInterval of 1ns collapses the group-commit window: with
-		// fsync disabled the measurement is the serialize+log CPU cost,
-		// not an artificial batching sleep.
-		be, err := platform.OpenFileBackend(b.TempDir(), platform.FileConfig{
-			NoSync: true, SyncInterval: time.Nanosecond,
-		})
+		// With fsync disabled the measurement is the serialize+log CPU
+		// cost plus the hand-off to the group-commit flusher.
+		be, err := platform.OpenFileBackend(b.TempDir(), platform.FileConfig{NoSync: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,8 +101,7 @@ func CheckpointLatency(init *core.Initializer, msgs []chat.Message) func(*testin
 func BuildRecoveryFixture(parent string, records int) (string, error) {
 	dir := filepath.Join(parent, "fixture")
 	be, err := platform.OpenFileBackend(dir, platform.FileConfig{
-		NoSync:       true,
-		SyncInterval: time.Nanosecond, // no batching sleeps while building
+		NoSync: true,
 		// Keep every record in one generation: the fixture measures replay,
 		// not snapshot loading.
 		SnapshotEvery: records + 2,

@@ -75,7 +75,7 @@ func startClusterWrapped(t *testing.T, init *core.Initializer, n int, dirs []str
 		cn.node.Secret = testClusterSecret
 		cfg := engine.Config{Warmup: -1}
 		if dirs != nil && dirs[i] != "" {
-			be, err := OpenFileBackend(dirs[i], FileConfig{SyncInterval: time.Millisecond})
+			be, err := OpenFileBackend(dirs[i], FileConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,7 @@ func getHealthz(t *testing.T, base string) HealthResponse {
 func TestDegradedStoreShedsWritesServesReads(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
 	init, target := trainedInitializer(t)
-	be, err := OpenFileBackend(t.TempDir(), FileConfig{SyncInterval: time.Millisecond})
+	be, err := OpenFileBackend(t.TempDir(), FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lightor/internal/chat"
 	"lightor/internal/core"
@@ -36,7 +35,10 @@ var (
 // Match with errors.Is; the HTTP layer maps it to a 503 shed response.
 var ErrDegraded = errors.New("platform: store degraded (disk fault): writes rejected, reads serve from memory")
 
-// FileConfig tunes a FileBackend.
+// FileConfig tunes a FileBackend. It has no commit-delay setting: durable
+// mutations are group-committed by the WAL's self-clocked flusher (one
+// fsync per waiter when alone, one per group under concurrency; see
+// package wal), so there is no window to trade latency against batching.
 type FileConfig struct {
 	// EventRetention caps the interaction events retained per video
 	// (0 = unlimited); it applies identically at replay, so recovered
@@ -47,9 +49,6 @@ type FileConfig struct {
 	// materialized state and retires the old log, bounding both disk
 	// growth and cold-start replay time.
 	SnapshotEvery int
-	// SyncInterval is the WAL group-commit window (default 2ms): durable
-	// appends arriving within one window share a single fsync.
-	SyncInterval time.Duration
 	// NoSync disables fsync (tests and benchmarks).
 	NoSync bool
 }
@@ -202,7 +201,7 @@ func (fb *FileBackend) walPath(gen uint64) string {
 }
 
 func (fb *FileBackend) walOpts() wal.Options {
-	return wal.Options{SyncInterval: fb.cfg.SyncInterval, NoSync: fb.cfg.NoSync}
+	return wal.Options{NoSync: fb.cfg.NoSync}
 }
 
 // OpenFileBackend opens (creating if needed) the durable store rooted at

@@ -254,7 +254,7 @@ func TestFileBackendCorruptSnapshotRejected(t *testing.T) {
 // must be present after recovery even with real syncing enabled.
 func TestFileBackendDurableAppendSurvivesAbandonedWriter(t *testing.T) {
 	dir := t.TempDir()
-	fb, err := OpenFileBackend(dir, FileConfig{SyncInterval: 1}) // real fsync
+	fb, err := OpenFileBackend(dir, FileConfig{}) // real fsync
 	if err != nil {
 		t.Fatal(err)
 	}

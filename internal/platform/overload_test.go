@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,9 @@ import (
 	"lightor/internal/chat"
 	"lightor/internal/core"
 	"lightor/internal/engine"
+	"lightor/internal/play"
+	"lightor/internal/sim"
+	"lightor/internal/stats"
 )
 
 // Overload-path tests: admission control, load shedding, and the
@@ -412,3 +416,133 @@ func TestFlashCrowdOverloadDrill(t *testing.T) {
 		}
 	}
 }
+
+// blockingSource parks a refine job inside its first Interactions call
+// until release is closed — a job that holds its admission slot for as
+// long as the test needs the queue full.
+type blockingSource struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (b *blockingSource) Interactions(float64) []play.Play {
+	b.once.Do(func() { close(b.entered) })
+	<-b.release
+	return nil
+}
+
+// TestRefineShedSkipsSessionize: POST /api/refine snapshots the video's
+// events on the request goroutine but sessionizes them on the refine
+// worker, so a POST the full queue sheds with 429 never scans the log —
+// and an admitted job still refines against exactly the plays the old
+// eager snapshot produced.
+func TestRefineShedSkipsSessionize(t *testing.T) {
+	init, target := trainedInitializer(t)
+	ext, err := core.NewExtractor(core.DefaultExtractorConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(init, ext, engine.Config{Warmup: -1, MaxQueuedRefines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		eng.Close(ctx)
+	})
+	store := NewStore()
+	svc := &Service{Store: store, Engine: eng}
+	h := svc.Handler()
+
+	dots, err := init.Detect(target.Chat.Log, target.Video.Duration, 3)
+	if err != nil || len(dots) == 0 {
+		t.Fatalf("Detect = %d dots, err %v", len(dots), err)
+	}
+	if err := store.PutVideo(VideoRecord{
+		ID: "vod", Duration: target.Video.Duration, Chat: target.Chat.Log, RedDots: dots,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRand(11)
+	var events []play.Event
+	for _, d := range dots {
+		hl, _ := sim.NearestHighlight(target.Video, d.Time)
+		for u := 0; u < 12; u++ {
+			events = append(events, sim.SimulateViewer(rng, fmt.Sprintf("u%d", u), target.Video, d.Time, hl, sim.DefaultViewerBehavior())...)
+		}
+	}
+	if err := store.LogEvents("vod", events); err != nil {
+		t.Fatal(err)
+	}
+
+	// The lazy source itself: nothing sessionized until the extractor
+	// asks, then once, and equal to the eager result.
+	src := &snapshotPlaySource{events: store.Events("vod")}
+	if src.plays != nil {
+		t.Fatal("snapshotPlaySource sessionized before its first use")
+	}
+	want := play.Sessionize(store.Events("vod"))
+	first := src.Interactions(0)
+	if !reflect.DeepEqual(first, want) || len(want) == 0 {
+		t.Fatalf("lazy plays = %d, eager = %d; want equal and non-empty", len(first), len(want))
+	}
+	if again := src.Interactions(1); &again[0] != &first[0] {
+		t.Fatal("second Interactions call re-sessionized")
+	}
+
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/refine?video=vod", nil))
+		return rec
+	}
+
+	// Fill the queue's single slot with a job that will not finish.
+	blocker := &blockingSource{entered: make(chan struct{}), release: make(chan struct{})}
+	held, err := eng.Refine().Enqueue("vod", dots[:1], blocker, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-blocker.entered
+	rec := post()
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("refine against a full queue = %d (Retry-After %q), want 429: %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	close(blocker.release)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := eng.Refine().Wait(ctx, held.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	// An admitted job refines against the enqueue-time snapshot, with
+	// the same outcome as sessionizing up front.
+	rec = post()
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("refine = %d, want 202: %s", rec.Code, rec.Body)
+	}
+	var accepted RefineJobResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &accepted); err != nil {
+		t.Fatal(err)
+	}
+	job, err := eng.Refine().Wait(ctx, accepted.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(job.Results) != len(dots) {
+		t.Fatalf("job refined %d dots, want %d", len(job.Results), len(dots))
+	}
+	eager := staticPlays(want)
+	for i, d := range dots {
+		seed := core.Interval{Start: d.Time, End: d.Time + ext.Config().DefaultSpan}
+		if b, _ := ext.Refine(seed, eager); job.Results[i].Boundary != b {
+			t.Errorf("dot %d: job boundary %+v, eager-snapshot boundary %+v", i, job.Results[i].Boundary, b)
+		}
+	}
+}
+
+type staticPlays []play.Play
+
+func (s staticPlays) Interactions(float64) []play.Play { return s }

@@ -113,7 +113,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	}
 
 	// --- Incarnation 1: durable backend, real fsync. ---
-	be1, err := OpenFileBackend(dir, FileConfig{SyncInterval: time.Millisecond})
+	be1, err := OpenFileBackend(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	srv1.Close()
 
 	// --- Incarnation 2: recover from the data dir. ---
-	be2, err := OpenFileBackend(dir, FileConfig{SyncInterval: time.Millisecond})
+	be2, err := OpenFileBackend(dir, FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lightor/internal/chat"
 	"lightor/internal/cluster"
 	"lightor/internal/core"
 	"lightor/internal/engine"
@@ -113,9 +114,13 @@ type Service struct {
 	hlCache   respCache
 
 	// Cold-start detection single-flight: N concurrent first readers of
-	// the same video collapse onto one Initializer.Detect run.
+	// the same video collapse onto one Initializer.Detect run. detected
+	// remembers, per video, the largest k detection has already answered
+	// for, so a video that simply has fewer than k detectable dots is not
+	// re-detected on every request.
 	flightMu sync.Mutex
 	flights  map[string]*detectFlight
+	detected map[string]detectMemo
 
 	// push is the SSE broadcast hub (push.go); pushOnce wires it to the
 	// engine's dot-publication hook on first use.
@@ -274,15 +279,34 @@ type detectFlight struct {
 	err  error
 }
 
+// detectMemo is the outcome of a finished detection: the chat log it read
+// (a re-crawled or grown log is a new pointer and detects afresh) and the
+// largest k it was asked for.
+type detectMemo struct {
+	chat *chat.Log
+	k    int
+}
+
 // detectColdStart runs batch detection for a video whose stored dots are
 // insufficient and persists the result, single-flighted per (video, k):
 // when a cold video suddenly gets N concurrent viewers — the exact
 // many-readers shape this service is built for — exactly one request pays
 // the detection; the rest wait on its result instead of stampeding the
 // initializer (and the store) with N identical runs.
+//
+// Fewer than k stored dots does not by itself mean detection is owed: the
+// video may have no more to give. Detection therefore runs once per
+// (chat log, k) — asking again for the same or a smaller k is answered
+// from the store — and its result replaces the stored dots only when it
+// found more of them, so dots the Extractor has since refined are never
+// overwritten by the raw detection they came from.
 func (s *Service) detectColdStart(id string, k int, view HighlightView) error {
 	key := id + "\x00" + strconv.Itoa(k)
 	s.flightMu.Lock()
+	if m, ok := s.detected[id]; ok && m.chat == view.Chat && m.k >= k {
+		s.flightMu.Unlock()
+		return nil
+	}
 	if f, ok := s.flights[key]; ok {
 		s.flightMu.Unlock()
 		<-f.done
@@ -316,11 +340,21 @@ func (s *Service) detectColdStart(id string, k int, view HighlightView) error {
 	if v, ok := s.Store.HighlightView(id); !ok || len(v.RedDots) < k {
 		var dots []core.RedDot
 		dots, err = s.Engine.Initializer().Detect(view.Chat, view.Duration, k)
-		if err == nil {
+		if err == nil && len(dots) > len(v.RedDots) {
 			// SetRedDots bumps the store revision, so every cached
 			// response for this video is invalidated the moment the
 			// dots land.
 			err = s.Store.SetRedDots(id, dots)
+		}
+		if err == nil {
+			s.flightMu.Lock()
+			if s.detected == nil {
+				s.detected = make(map[string]detectMemo)
+			}
+			if m := s.detected[id]; m.chat != view.Chat || m.k < k {
+				s.detected[id] = detectMemo{chat: view.Chat, k: k}
+			}
+			s.flightMu.Unlock()
 		}
 	}
 	return err
@@ -472,12 +506,26 @@ func (s *Service) handleInteractionsPage(w http.ResponseWriter, r *http.Request)
 }
 
 // snapshotPlaySource feeds the extractor a per-job snapshot of the
-// video's sessionized plays. Reading the store once per job keeps the
-// fan-out's data fetch O(events) total instead of O(dots × iterations ×
-// events) — the same freshness the old synchronous handler had.
-type snapshotPlaySource []play.Play
+// video's sessionized plays. The events are copied out of the store when
+// the job is enqueued — the snapshot the job refines against — but
+// sessionized on the refine worker, once, when the extractor first asks:
+// a POST the queue sheds with 429 has then paid for the copy only, not
+// for a scan of the whole retained log on the request goroutine. Reading
+// the store once per job keeps the fan-out's data fetch O(events) total
+// instead of O(dots × iterations × events).
+type snapshotPlaySource struct {
+	events []play.Event
+	once   sync.Once
+	plays  []play.Play
+}
 
-func (s snapshotPlaySource) Interactions(dot float64) []play.Play { return s }
+func (s *snapshotPlaySource) Interactions(dot float64) []play.Play {
+	s.once.Do(func() {
+		s.plays = play.Sessionize(s.events)
+		s.events = nil
+	})
+	return s.plays
+}
 
 // handleRefine enqueues background refinement of a video's red dots and
 // returns 202 immediately. Refined dots and boundaries are persisted to
@@ -509,7 +557,7 @@ func (s *Service) handleRefine(w http.ResponseWriter, r *http.Request) {
 	}
 	store := s.Store
 	job, err := s.Engine.Refine().Enqueue(id, rec.RedDots,
-		snapshotPlaySource(store.Plays(id)),
+		&snapshotPlaySource{events: store.Events(id)},
 		func(done engine.RefineJob) {
 			dots := make([]core.RedDot, len(done.Results))
 			spans := make([]core.Interval, len(done.Results))

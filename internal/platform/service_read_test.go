@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -312,11 +313,19 @@ func TestHighlightsETagAndInvalidation(t *testing.T) {
 }
 
 // countingBackend counts SetRedDots calls — the observable footprint of a
-// cold-start detection landing its result.
+// cold-start detection landing its result — and HighlightView loads, of
+// which a request that takes detection leadership makes one more than a
+// request that does not.
 type countingBackend struct {
 	Backend
 	mu         sync.Mutex
 	setRedDots int
+	views      atomic.Int64
+}
+
+func (c *countingBackend) HighlightView(id string) (HighlightView, bool) {
+	c.views.Add(1)
+	return c.Backend.HighlightView(id)
 }
 
 func (c *countingBackend) SetRedDots(id string, dots []core.RedDot) error {
@@ -380,6 +389,86 @@ func TestHighlightsColdStartSingleFlight(t *testing.T) {
 	}
 	if got := cb.count(); got != 1 {
 		t.Fatalf("cold start ran detection %d times, want exactly 1 (single-flight)", got)
+	}
+}
+
+// TestHighlightsShortVideoKeepsRefinedDots is the regression test for the
+// re-detect-and-clobber bug: a video with fewer detectable dots than the
+// requested k used to look "cold" on every GET, so each one re-ran Detect
+// and overwrote the dots the Extractor had refined — and, on a durable
+// store, logged a set_dots record and bumped the revision per request.
+func TestHighlightsShortVideoKeepsRefinedDots(t *testing.T) {
+	init, target := trainedInitializer(t)
+	fb, err := OpenFileBackend(t.TempDir(), FileConfig{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := &countingBackend{Backend: fb}
+	store := NewStoreWith(cb)
+	defer store.Close()
+	svc := &Service{Store: store, Engine: testEngine(t, init)}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	// Every dot the video has, then refined the way a finished refine job
+	// persists them: times moved to the boundary starts.
+	all, err := init.Detect(target.Chat.Log, target.Video.Duration, 1<<20)
+	if err != nil || len(all) == 0 {
+		t.Fatalf("Detect = %d dots, err %v", len(all), err)
+	}
+	if err := store.PutVideo(VideoRecord{
+		ID: "short", Duration: target.Video.Duration, Chat: target.Chat.Log, RedDots: all,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	refined := append([]core.RedDot(nil), all...)
+	spans := make([]core.Interval, len(all))
+	for i := range refined {
+		refined[i].Time += 1.5
+		spans[i] = core.Interval{Start: refined[i].Time, End: refined[i].Time + 20}
+	}
+	if err := store.SetRefined("short", refined, spans); err != nil {
+		t.Fatal(err)
+	}
+	walRecords := func() int {
+		fb.mu.Lock()
+		defer fb.mu.Unlock()
+		return fb.recs
+	}
+	rev, recs := store.Revision("short"), walRecords()
+
+	url := fmt.Sprintf("%s/api/highlights?video=short&k=%d", srv.URL, len(all)+7)
+	for get := 1; get <= 2; get++ {
+		views := cb.views.Load()
+		status, _, body := condGet(t, url, "")
+		if status != http.StatusOK {
+			t.Fatalf("GET %d = %d: %s", get, status, body)
+		}
+		var hr HighlightsResponse
+		if err := json.Unmarshal(body, &hr); err != nil {
+			t.Fatal(err)
+		}
+		if len(hr.Dots) != len(refined) || len(hr.Boundaries) != len(spans) {
+			t.Fatalf("GET %d served %d dots, %d boundaries; want %d refined", get, len(hr.Dots), len(hr.Boundaries), len(refined))
+		}
+		for i := range refined {
+			if hr.Dots[i].Time != refined[i].Time || hr.Boundaries[i] != spans[i] {
+				t.Fatalf("GET %d clobbered refined dot %d: served %+v %+v, want time %v span %+v",
+					get, i, hr.Dots[i], hr.Boundaries[i], refined[i].Time, spans[i])
+			}
+		}
+		if got := cb.count(); got != 0 {
+			t.Fatalf("GET %d overwrote the stored dots (%d SetRedDots)", get, got)
+		}
+		if r, n := store.Revision("short"), walRecords(); r != rev || n != recs {
+			t.Fatalf("GET %d moved the store: revision %d → %d, wal records %d → %d", get, rev, r, recs, n)
+		}
+		// The second GET must not even take detection leadership: its
+		// only store load is the handler's own, the body comes from the
+		// response cache.
+		if loads := cb.views.Load() - views; get == 2 && loads != 1 {
+			t.Fatalf("second GET loaded the view %d times, want 1 (no re-detection)", loads)
+		}
 	}
 }
 

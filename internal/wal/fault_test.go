@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"lightor/internal/fault"
 )
@@ -36,7 +35,7 @@ func replayAll(t *testing.T, path string) []string {
 func TestFsyncFailurePoisonsWriter(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
 	path := filepath.Join(t.TempDir(), "log.wal")
-	w, err := Create(path, Options{NoSync: true, SyncInterval: time.Millisecond})
+	w, err := Create(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestFsyncFailurePoisonsWriter(t *testing.T) {
 func TestTornWriteRecoveryReplaysOnlyAckedRecords(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
 	path := filepath.Join(t.TempDir(), "log.wal")
-	w, err := Create(path, Options{NoSync: true, SyncInterval: time.Millisecond})
+	w, err := Create(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestTornWriteRecoveryReplaysOnlyAckedRecords(t *testing.T) {
 func TestTornBatchWritePoisons(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
 	path := filepath.Join(t.TempDir(), "log.wal")
-	w, err := Create(path, Options{NoSync: true, SyncInterval: time.Millisecond})
+	w, err := Create(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,17 @@
 //
 // # Durability
 //
-// Writer.Append buffers; Writer.AppendDurable additionally waits until the
-// record has been fsynced. Syncs are group-committed: one background
-// flusher serves every waiter that arrived while the previous fsync was in
-// flight, so durable-append throughput scales with batching instead of
-// paying one fsync per record.
+// Writer.Append buffers; Writer.AppendDurable (or WaitDurable on an Append's
+// sequence) additionally waits until the record has been fsynced. Syncs are
+// group-committed by one background flusher, and the commit is self-clocked:
+// a waiter that finds no sync in flight gets one at once, and every waiter
+// that arrives while that fsync is in flight is covered by the very next
+// one, which starts as soon as the current one returns. Batching therefore
+// comes from the fsync's own latency — a lone durable append costs one
+// fsync, N concurrent ones share one — and there is no commit-delay setting
+// to tune. Records appended with plain Append and no waiter behind them are
+// synced in the background within lazySyncDelay (2ms) of the append, which
+// bounds what a crash can lose of writes nobody was promised.
 //
 // # Batching contract
 //
@@ -116,22 +122,16 @@ var logMagic = [4]byte{'L', 'W', 'A', 'L'}
 // unsupported version, or checksum mismatch where tolerance is not allowed.
 var ErrCorrupt = errors.New("wal: corrupt data")
 
+// lazySyncDelay bounds how long a record appended with plain Append sits
+// unsynced when no durability waiter asks for it sooner.
+const lazySyncDelay = 2 * time.Millisecond
+
 // Options tunes a Writer.
 type Options struct {
-	// SyncInterval is the group-commit window: after the first durable
-	// append of a batch, the flusher waits this long for stragglers before
-	// issuing one fsync for all of them. Zero means 2ms.
-	SyncInterval time.Duration
 	// NoSync disables fsync entirely (tests and benchmarks that measure
 	// CPU cost, not disk cost). AppendDurable still waits for the buffered
 	// writer to flush to the OS.
 	NoSync bool
-}
-
-func (o *Options) fillDefaults() {
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 2 * time.Millisecond
-	}
 }
 
 // Scan reads log records from r (which must start at the file header),
@@ -215,12 +215,12 @@ type Writer struct {
 	err       error  // first write error; sticky
 	closed    bool
 	noSync    bool
-	interval  time.Duration
 	cmu       sync.Mutex
 	committed uint64 // records known durable; guarded by cmu
 	syncErr   error  // first flush/sync failure; guarded by cmu
 	cond      *sync.Cond
-	wake      chan struct{} // buffered(1): nudges the flusher
+	dirty     chan struct{} // buffered(1): records buffered, sync within lazySyncDelay
+	waiter    chan struct{} // buffered(1): a WaitDurable is blocked, sync now
 	quit      chan struct{}
 	stopped   chan struct{}
 }
@@ -237,7 +237,6 @@ type Writer struct {
 // records. A present-but-foreign header (bad magic, unsupported version)
 // stays a hard error.
 func Open(path string, opts Options, apply func(payload []byte) error) (*Writer, int, error) {
-	opts.fillDefaults()
 	records := 0
 	validSize := int64(0)
 	if st, err := os.Stat(path); err == nil {
@@ -288,13 +287,13 @@ func Open(path string, opts Options, apply func(payload []byte) error) (*Writer,
 	}
 
 	w := &Writer{
-		f:        f,
-		bw:       bufio.NewWriterSize(f, 1<<16),
-		noSync:   opts.NoSync,
-		interval: opts.SyncInterval,
-		wake:     make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		stopped:  make(chan struct{}),
+		f:       f,
+		bw:      bufio.NewWriterSize(f, 1<<16),
+		noSync:  opts.NoSync,
+		dirty:   make(chan struct{}, 1),
+		waiter:  make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		stopped: make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.cmu)
 	go w.flushLoop()
@@ -316,17 +315,27 @@ func Create(path string, opts Options) (*Writer, error) {
 // acknowledges the write to a client.
 func (w *Writer) Append(payload []byte) (uint64, error) {
 	seq, err := w.append(payload)
-	w.nudge()
+	nudge(w.dirty)
 	return seq, err
 }
 
 // WaitDurable blocks until the record with the given sequence number has
 // been fsynced (group-committed with any concurrent appends), or until the
-// writer fails or closes.
+// writer fails or closes. A record that is already durable — committed by
+// an earlier waiter's sync, the lazy sync, or Close — returns without
+// waking the flusher.
 func (w *Writer) WaitDurable(seq uint64) error {
-	w.nudge()
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
+	if w.committed >= seq || w.syncErr != nil {
+		return w.syncErr
+	}
+	// One nudge, sent after the record was appended, is enough: whichever
+	// token the flusher takes next — this one, or one already pending — it
+	// takes after this append, so the sync it starts covers the record. A
+	// sync that was already in flight does not; its broadcast finds
+	// committed < seq and the wait continues for the following one.
+	nudge(w.waiter)
 	for w.committed < seq && w.syncErr == nil {
 		w.cond.Wait()
 	}
@@ -355,7 +364,7 @@ func (w *Writer) AppendDurable(payload []byte) error {
 // fails the call before any byte of the batch reaches the log.
 func (w *Writer) AppendBatch(payloads [][]byte) (uint64, error) {
 	seq, err := w.appendBatch(payloads)
-	w.nudge()
+	nudge(w.dirty)
 	return seq, err
 }
 
@@ -475,37 +484,37 @@ func (w *Writer) poisonTornLocked(frame, payload []byte, allowed int, cause erro
 	w.err = fmt.Errorf("wal: write failed (writer poisoned): %w", cause)
 }
 
-// nudge wakes the flusher without blocking (one pending wake suffices).
-func (w *Writer) nudge() {
+// nudge leaves a token for the flusher without blocking (one pending token
+// per channel suffices: the flusher acts on state, not on the count).
+func nudge(ch chan struct{}) {
 	select {
-	case w.wake <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
 
-// flushLoop is the group-commit flusher: each wake-up waits one sync
-// interval for more appends to batch, then flushes and fsyncs once for all
-// of them.
+// flushLoop is the group-commit flusher. It is clocked by its own syncs,
+// not by a timer: a waiter token starts a flush+fsync at once, and waiters
+// that arrive while it runs leave one token that starts the next sync the
+// moment this one returns. Only records nobody waits for are deferred, by
+// lazySyncDelay, and a waiter arriving meanwhile cuts the delay short.
 func (w *Writer) flushLoop() {
 	defer close(w.stopped)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	lazy := time.NewTimer(lazySyncDelay)
+	lazy.Stop()
 	for {
 		select {
 		case <-w.quit:
 			return
-		case <-w.wake:
-		}
-		if w.interval > 0 {
-			timer.Reset(w.interval)
+		case <-w.waiter:
+		case <-w.dirty:
+			lazy.Reset(lazySyncDelay)
 			select {
-			case <-timer.C:
+			case <-lazy.C:
+			case <-w.waiter:
+				lazy.Stop()
 			case <-w.quit:
-				if !timer.Stop() {
-					<-timer.C
-				}
+				lazy.Stop()
 				return
 			}
 		}
