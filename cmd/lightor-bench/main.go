@@ -6,7 +6,8 @@
 //	lightor-bench -scale quick     # small, seconds-fast configuration
 //	lightor-bench -run fig6a,table1
 //
-// See EXPERIMENTS.md for the paper-vs-measured record.
+// It measures nothing about the serving system; that is bench/'s job (see
+// bench/README.md).
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"testing"
 	"time"
 
 	"lightor/internal/experiments"
@@ -32,35 +32,36 @@ func wrap[T interface{ Render() string }](f func(experiments.Config) (T, error))
 	}
 }
 
-func main() {
-	// The -bench-json path drives testing.Benchmark from a plain main
-	// package; testing.Init registers the framework's flag set so that
-	// b.Error/b.Fatal inside a failing measurement body report cleanly
-	// instead of dereferencing unregistered flags.
-	testing.Init()
-	scale := flag.String("scale", "default", "experiment scale: default|quick")
-	run := flag.String("run", "all", "comma-separated experiment ids (fig2a,fig2b,fig3,fig6a,fig6b,fig7a,fig7b,fig8,fig9,fig10,fig11,table1,ablations,classifier,windows) or 'all'")
-	benchJSON := flag.String("bench-json", "", "write a machine-readable hot-path perf report (Feed ns/op + allocs/op, window-close cost, batched/engine/HTTP ingest msgs/sec, WAL costs) to this path and exit")
-	baseline := flag.String("baseline", "", "with -bench-json: compare the fresh report against this committed baseline and exit non-zero on regression")
-	tolerance := flag.Float64("tolerance", 1.5, "baseline gate slack: time metrics may grow up to baseline*(1+tolerance), throughput may shrink to baseline/(1+tolerance)")
-	minSpeedup := flag.Float64("min-batch-speedup", 3.0, "baseline gate: required live-ingest msgs/sec ratio, batch 256 vs batch 1 (same-run, machine-independent)")
-	minReadSpeedup := flag.Float64("min-read-speedup", 5.0, "baseline gate: required live-dots reads/sec ratio, cached+conditional vs uncached, at >= 64 concurrent pollers (same-run, machine-independent)")
-	minClusterScale := flag.Float64("min-cluster-scale", 0.5, "baseline gate: required cluster aggregate-throughput ratio, N nodes vs 1, per workload (same-run; below 1.0 because single-core CI can only prove absence of collapse, not parallel speedup)")
-	maxDispersion := flag.Float64("max-latency-dispersion", 2000, "baseline gate: allowed p999/p50 ratio on the Zipf and flash-crowd(admission=on) latency rows (same-run, machine-independent; observed ~40-100, the ceiling catches a tail collapsing into queueing)")
-	maxFlashColdRatio := flag.Float64("max-flash-cold-p99x", 50, "baseline gate: allowed cold-channel read p99 under flash crowd as a multiple of the steady-state read-heavy row's (same-run; admission must keep the stampede from leaking into cold channels)")
-	flag.Parse()
+// all lists every experiment in the order "-run all" executes them.
+var all = []runner{
+	{"fig2a", wrap(experiments.Figure2a)},
+	{"fig2b", wrap(experiments.Figure2b)},
+	{"fig3", wrap(experiments.Figure3)},
+	{"fig6a", wrap(experiments.Figure6a)},
+	{"fig6b", wrap(experiments.Figure6b)},
+	{"fig7a", wrap(experiments.Figure7a)},
+	{"fig7b", wrap(experiments.Figure7b)},
+	{"fig8", wrap(experiments.Figure8)},
+	{"fig9", wrap(experiments.Figure9)},
+	{"fig10", wrap(experiments.Figure10)},
+	{"fig11", wrap(experiments.Figure11)},
+	{"table1", wrap(experiments.Table1)},
+	// Beyond the paper: ablations and design-choice sweeps.
+	{"ablations", wrap(experiments.Ablations)},
+	{"classifier", wrap(experiments.ClassifierAccuracy)},
+	{"windows", wrap(experiments.WindowSweep)},
+	{"delta", wrap(experiments.DeltaSweep)},
+	{"online", wrap(experiments.OnlineVsOffline)},
+}
 
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			log.Fatal(err)
-		}
-		if *baseline != "" {
-			if err := runBaselineCheck(*benchJSON, *baseline, *tolerance, *minSpeedup, *minReadSpeedup, *minClusterScale, *maxDispersion, *maxFlashColdRatio); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
+func main() {
+	ids := make([]string, len(all))
+	for i, r := range all {
+		ids[i] = r.name
 	}
+	scale := flag.String("scale", "default", "experiment scale: default|quick")
+	run := flag.String("run", "all", "comma-separated experiment ids ("+strings.Join(ids, ",")+") or 'all'")
+	flag.Parse()
 
 	var cfg experiments.Config
 	switch *scale {
@@ -70,27 +71,6 @@ func main() {
 		cfg = experiments.Quick()
 	default:
 		log.Fatalf("unknown scale %q", *scale)
-	}
-
-	all := []runner{
-		{"fig2a", wrap(experiments.Figure2a)},
-		{"fig2b", wrap(experiments.Figure2b)},
-		{"fig3", wrap(experiments.Figure3)},
-		{"fig6a", wrap(experiments.Figure6a)},
-		{"fig6b", wrap(experiments.Figure6b)},
-		{"fig7a", wrap(experiments.Figure7a)},
-		{"fig7b", wrap(experiments.Figure7b)},
-		{"fig8", wrap(experiments.Figure8)},
-		{"fig9", wrap(experiments.Figure9)},
-		{"fig10", wrap(experiments.Figure10)},
-		{"fig11", wrap(experiments.Figure11)},
-		{"table1", wrap(experiments.Table1)},
-		// Beyond the paper: ablations and design-choice sweeps (DESIGN.md §6).
-		{"ablations", wrap(experiments.Ablations)},
-		{"classifier", wrap(experiments.ClassifierAccuracy)},
-		{"windows", wrap(experiments.WindowSweep)},
-		{"delta", wrap(experiments.DeltaSweep)},
-		{"online", wrap(experiments.OnlineVsOffline)},
 	}
 
 	selected := map[string]bool{}

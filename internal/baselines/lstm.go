@@ -14,7 +14,7 @@ import (
 // paper's originals are character-level 3-layer LSTMs trained for days on
 // 4×V100 GPUs; these are scaled to a laptop (single layer, small hidden
 // width, few epochs) while keeping the model family and the experimental
-// shape. See DESIGN.md §2 for the substitution rationale.
+// shape.
 type LSTMConfig struct {
 	Hidden        int     // LSTM hidden width (default 16)
 	Layers        int     // LSTM stack depth (default 1; the paper uses 3)

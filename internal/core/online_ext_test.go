@@ -250,3 +250,65 @@ func TestFeedCollectDeadlineIsExact(t *testing.T) {
 		t.Fatal("no dots emitted mid-stream; the test is vacuous")
 	}
 }
+
+// TestFeedZeroAlloc is the streaming hot path's allocation contract: Feed
+// allocates nothing, inside one window and across window turnover.
+func TestFeedZeroAlloc(t *testing.T) {
+	init, test := trainedInit(t, 414)
+	pool := test[0].Chat.Log.Messages()[:512]
+	size := init.Config().WindowSize
+	newDetector := func(t *testing.T) *core.OnlineDetector {
+		od, err := core.NewOnlineDetector(init, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		od.SetWarmup(0)
+		return od
+	}
+	n := 0
+	feed := func(t *testing.T, od *core.OnlineDetector, ts float64) {
+		if _, err := od.Feed(chatMsgText(ts, pool[n%len(pool)].Text)); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+
+	// One Feed landing in the open window, the dominant live case. Four
+	// closed windows sit pending under the δ horizon, so Feed runs against
+	// live pending state; the open window's vocabulary has seen every text.
+	t.Run("steady-state", func(t *testing.T) {
+		od := newDetector(t)
+		for ts := 0.0; ts < 4*size; ts += size / 64 {
+			feed(t, od, ts)
+		}
+		hold := 4*size + size/2
+		for range pool {
+			feed(t, od, hold)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { feed(t, od, hold) }); allocs != 0 {
+			t.Fatalf("steady-state Feed allocates %.2f allocs/op, want 0", allocs)
+		}
+	})
+
+	// Four messages per window: every fourth Feed closes a window, scores
+	// it, finalizes older ones and opens the next on an empty vocabulary.
+	// One run is one whole window, so an allocation per close counts as 1.
+	t.Run("window-turnover", func(t *testing.T) {
+		od := newDetector(t)
+		w := 0
+		window := func() {
+			for i := 0; i < 4; i++ {
+				feed(t, od, (float64(w)+float64(i)/4)*size)
+			}
+			w++
+		}
+		// Past the growth steps of the token arena, the pending list and
+		// the emission history.
+		for w < 2*len(pool) {
+			window()
+		}
+		if allocs := testing.AllocsPerRun(500, window); allocs != 0 {
+			t.Fatalf("a window turnover allocates %.2f allocs/window, want 0", allocs)
+		}
+	})
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
 )
 
 // CheckpointStore is the durability seam for live sessions: the engine

@@ -195,4 +195,3 @@ func TestRestoreSessionNotifiesListener(t *testing.T) {
 		t.Fatalf("double restore = %v, want ErrSessionExists", err)
 	}
 }
-

@@ -12,18 +12,17 @@ import (
 
 	"lightor/internal/chat"
 	"lightor/internal/core"
-	"lightor/internal/perf"
 	"lightor/internal/play"
 	"lightor/internal/sim"
 	"lightor/internal/stats"
 )
 
 // trainedFixture builds a trained initializer plus a held-out simulated
-// video — the shared perf-package recipe, so tests and benchmarks exercise
-// the same workload.
+// video — the shared sim-package recipe, so engine and platform tests
+// exercise the same workload.
 func trainedFixture(t testing.TB) (*core.Initializer, sim.VideoData) {
 	t.Helper()
-	init, target, err := perf.TrainedFixture()
+	init, target, err := sim.TrainedFixture()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -351,3 +351,30 @@ func TestDotListenerLifecycle(t *testing.T) {
 		t.Fatalf("unregistered listener still observed publications: %d events", n)
 	}
 }
+
+// TestDotsPageZeroAlloc is the read fast lane's allocation contract: a
+// lock-free DotsPage load allocates nothing, for a new viewer fetching
+// the whole history and for a steady-state poller at the tip alike.
+func TestDotsPageZeroAlloc(t *testing.T) {
+	init, _ := trainedFixture(t)
+	eng := newTestEngine(t, init, Config{})
+	s, err := eng.Sessions().open("scripted", &scriptedBackend{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestN(t, s, 0, 64)
+	_, tip, _ := s.DotsPage(0)
+	if tip != 64 {
+		t.Fatalf("tip = %d, want 64", tip)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		full, _, _ := s.DotsPage(0)
+		fresh, _, _ := s.DotsPage(tip)
+		if len(full) != tip || len(fresh) != 0 {
+			t.Fatalf("DotsPage lost dots: %d from 0, %d from the tip", len(full), len(fresh))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DotsPage allocates %.2f allocs/op, want 0", allocs)
+	}
+}

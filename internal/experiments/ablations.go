@@ -12,8 +12,8 @@ import (
 )
 
 // AblationResult quantifies how much each LIGHTOR design choice
-// contributes (DESIGN.md §6). Every row disables exactly one mechanism and
-// reports the end-to-end precision that remains.
+// contributes. Every row disables exactly one mechanism and reports the
+// end-to-end precision that remains.
 type AblationResult struct {
 	Rows []AblationRow
 	K    int

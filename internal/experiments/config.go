@@ -6,8 +6,8 @@
 // Absolute numbers will differ from the paper — the substrate is a
 // simulator, not Twitch plus 492 Turkers — but the comparative shape is
 // preserved and asserted in this package's tests: who wins, by roughly what
-// factor, and where the crossovers fall. EXPERIMENTS.md records
-// paper-vs-measured values.
+// factor, and where the crossovers fall. `go run ./cmd/lightor-bench`
+// prints the measured values at paper scale.
 package experiments
 
 import "lightor/internal/baselines"

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,7 +143,18 @@ func TestClusterForwardedIngestByteIdentical(t *testing.T) {
 	dirDirect := t.TempDir()
 
 	run := func(dir string, misroute bool) []core.RedDot {
-		nodes := startCluster(t, init, 2, []string{dir, dir2(dir)})
+		// Every TCP connection a node accepts has its own remote address.
+		var connMu sync.Mutex
+		conns := make([]map[string]bool, 2)
+		nodes := startClusterWrapped(t, init, 2, []string{dir, dir2(dir)}, func(i int, h http.Handler) http.Handler {
+			conns[i] = map[string]bool{}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				connMu.Lock()
+				conns[i][r.RemoteAddr] = true
+				connMu.Unlock()
+				h.ServeHTTP(w, r)
+			})
+		})
 		owner, other := ownerOf(t, nodes, channel)
 		if owner.srv.Listener.Addr() == nil {
 			t.Fatal("owner not listening")
@@ -169,6 +181,17 @@ func TestClusterForwardedIngestByteIdentical(t *testing.T) {
 		// The session must live ONLY on the owner.
 		if _, ok := other.eng.Sessions().Get(channel); ok {
 			t.Fatalf("session opened on non-owner %s", other.id)
+		}
+		// Forwarding rides the pooled keep-alive client: one producer's
+		// misrouted batches, one after another, reach the owner over one
+		// connection — not one dial per request.
+		if misroute {
+			connMu.Lock()
+			n := len(conns[indexOf(nodes, owner)])
+			connMu.Unlock()
+			if n != 1 {
+				t.Fatalf("%d forwarded batches reached the owner over %d connections, want 1", (len(msgs)+49)/50, n)
+			}
 		}
 		sess, ok := owner.eng.Sessions().Get(channel)
 		if !ok {

@@ -188,6 +188,9 @@ func TestHealthzExposesLatencyAndShed(t *testing.T) {
 //
 //   - cold-channel reads NEVER fail — reads are not admission-controlled;
 //   - every shed write is a 429/503 WITH Retry-After;
+//   - the flash channel's mailbox never holds more than the backlog budget
+//     plus one batch per stampeding producer (admission reads the backlog
+//     before it enqueues, without a lock);
 //   - after the stampede drains, every channel's dot history is gap-free
 //     (HTTP pages splice exactly onto the engine's own history).
 //
@@ -219,8 +222,9 @@ func TestFlashCrowdOverloadDrill(t *testing.T) {
 	h := svc.Handler()
 
 	const (
-		channels = 64
-		flashCh  = 42
+		channels       = 64
+		flashCh        = 42
+		flashProducers = 3
 	)
 	name := func(i int) string { return fmt.Sprintf("drill-%02d", i) }
 	src := target.Chat.Log.Messages()
@@ -233,6 +237,7 @@ func TestFlashCrowdOverloadDrill(t *testing.T) {
 	clocks := make([]chanClock, channels)
 
 	var shedCount, accepted atomic.Int64
+	flashBacklog := 0 // deepest the flash channel's mailbox got; guarded by its clock lock
 	// writeBatch posts n messages to channel ch under its clock lock (one
 	// logical producer stream per channel — the engine rejects
 	// out-of-order time). Sheds advance the clock but not the history;
@@ -257,6 +262,12 @@ func TestFlashCrowdOverloadDrill(t *testing.T) {
 		req := httptest.NewRequest(http.MethodPost, "/api/live/chat?channel="+name(ch), bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
+		// A mailbox is deepest right after an enqueue.
+		if ch == flashCh && rec.Code == http.StatusAccepted {
+			if sess, ok := eng.Sessions().Get(name(ch)); ok {
+				flashBacklog = max(flashBacklog, sess.Pending())
+			}
+		}
 		c.mu.Unlock()
 		switch rec.Code {
 		case http.StatusAccepted:
@@ -280,7 +291,7 @@ func TestFlashCrowdOverloadDrill(t *testing.T) {
 	var writers, readers sync.WaitGroup
 
 	// The stampede: three producers hammer the flash channel.
-	for w := 0; w < 3; w++ {
+	for w := 0; w < flashProducers; w++ {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
@@ -344,7 +355,11 @@ func TestFlashCrowdOverloadDrill(t *testing.T) {
 	writers.Wait()
 	done.Store(true)
 	readers.Wait()
-	t.Logf("drill: %d accepted, %d shed", accepted.Load(), shedCount.Load())
+	t.Logf("drill: %d accepted, %d shed, flash backlog peaked at %d", accepted.Load(), shedCount.Load(), flashBacklog)
+	if bound := svc.MaxChannelBacklog + flashProducers; flashBacklog > bound {
+		t.Errorf("flash channel's mailbox reached %d batches, want <= %d (budget %d + %d producers): admission did not bound it",
+			flashBacklog, bound, svc.MaxChannelBacklog, flashProducers)
+	}
 
 	// Let the mailboxes drain fully before auditing histories.
 	deadline := time.Now().Add(30 * time.Second)

@@ -15,7 +15,6 @@ import (
 	"lightor/internal/chat"
 	"lightor/internal/core"
 	"lightor/internal/engine"
-	"lightor/internal/perf"
 	"lightor/internal/play"
 	"lightor/internal/sim"
 	"lightor/internal/stats"
@@ -218,10 +217,10 @@ func TestCrawlerErrors(t *testing.T) {
 }
 
 // trainedInitializer builds a minimal trained initializer for service
-// tests — the shared perf-package recipe.
+// tests — the shared sim-package recipe.
 func trainedInitializer(t *testing.T) (*core.Initializer, sim.VideoData) {
 	t.Helper()
-	init, target, err := perf.TrainedFixture()
+	init, target, err := sim.TrainedFixture()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -613,3 +613,81 @@ func TestPushSubscribersRaceIngest(t *testing.T) {
 		}
 	}
 }
+
+// TestPushEncodeOnce is the push lane's fan-out contract: a published dot
+// version is JSON-encoded exactly once however many subscribers share its
+// frame, every subscriber is handed every version, and none of them has
+// to resync (a resync is one more encode per subscriber).
+func TestPushEncodeOnce(t *testing.T) {
+	init, target := trainedInitializer(t)
+	msgs := target.Chat.Log.Messages()
+	const batch = 256
+	batches := (len(msgs) + batch - 1) / batch
+	for _, subs := range []int{1, 100, 10000} {
+		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
+			eng := liveTestEngine(t, init)
+			// Each batch publishes at most one version, and so does the
+			// final flush: the ring holds them all, nothing overflows.
+			svc := &Service{Store: NewStore(), Engine: eng, PushQueueLen: batches + 1}
+			sess, err := eng.Sessions().GetOrOpen("fanout")
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams := make([]*DotStream, 0, subs)
+			defer func() {
+				for _, ds := range streams {
+					ds.Close()
+				}
+			}()
+			for len(streams) < subs {
+				ds, err := svc.SubscribeDots("fanout", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds.Pop() // clear the initial lagged state; the subscriber is now "live"
+				streams = append(streams, ds)
+			}
+			start := svc.PushStats()
+
+			for i := 0; i < len(msgs); i += batch {
+				if err := sess.Ingest(msgs[i:min(i+batch, len(msgs))]...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Flush returns once the mailbox has processed, and therefore
+			// published, everything before it.
+			if _, err := sess.Flush(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+
+			end := svc.PushStats()
+			versions := end.Versions - start.Versions
+			if versions == 0 {
+				t.Fatal("no version published; the test is vacuous")
+			}
+			if encodes := end.Encodes - start.Encodes; encodes != versions {
+				t.Errorf("%d encodes for %d versions, want exactly one each", encodes, versions)
+			}
+			if got, want := end.Deliveries-start.Deliveries, versions*uint64(subs); got != want {
+				t.Errorf("%d deliveries, want %d (%d versions × %d subscribers)", got, want, versions, subs)
+			}
+			if end.Drops != start.Drops || end.Resyncs != start.Resyncs {
+				t.Errorf("subscribers overflowed or resynced: %+v -> %+v", start, end)
+			}
+			_, tip, _ := sess.DotsPage(0)
+			for i, ds := range streams {
+				for {
+					if _, ok := ds.Pop(); !ok {
+						break
+					}
+				}
+				if c := ds.Cursor(); c != tip {
+					t.Fatalf("subscriber %d stopped at cursor %d, want %d", i, c, tip)
+				}
+			}
+			if final := svc.PushStats(); final.Encodes != end.Encodes {
+				t.Errorf("draining the subscribers encoded %d more times", final.Encodes-end.Encodes)
+			}
+		})
+	}
+}

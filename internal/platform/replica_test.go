@@ -278,44 +278,54 @@ func TestClusterReplicationShipsCheckpoints(t *testing.T) {
 	})
 }
 
-// TestClusterReplicationAntiEntropy: with the send path failpointed dead,
-// no checkpoint reaches the successor; the reconciler repairs the gap —
-// re-shipping from the latest local checkpoint — as soon as the fault
-// lifts, without new ingest.
+// TestClusterReplicationAntiEntropy: with the send path failpointed dead
+// or stalled, ingest and a blocking checkpoint still return — shipping is
+// off the ack path — and no checkpoint has reached the successor when they
+// do; the reconciler repairs the gap — re-shipping from the latest local
+// checkpoint — as soon as the fault lifts, without new ingest.
 func TestClusterReplicationAntiEntropy(t *testing.T) {
 	init, target := trainedInitializer(t)
 	msgs := target.Chat.Log.Messages()
 	const channel = "rep-heal"
 
-	nodes := startReplicatedCluster(t, init, 3, 1)
-	owner := ownerNode(t, nodes, channel)
-	succ := successorOf(t, nodes, owner, channel)
+	for _, tc := range []struct{ name, spec string }{
+		{"link-down", "err:replication link down"},
+		// A ship that waited on the ack path would return from Checkpoint
+		// only after the stalled send had delivered the replica.
+		{"link-stalled", "sleep:5s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := startReplicatedCluster(t, init, 3, 1)
+			owner := ownerNode(t, nodes, channel)
+			succ := successorOf(t, nodes, owner, channel)
 
-	t.Cleanup(fault.DisarmAll)
-	if err := fault.Arm(cluster.FailpointReplicaSend, "err:replication link down"); err != nil {
-		t.Fatal(err)
-	}
+			t.Cleanup(fault.DisarmAll)
+			if err := fault.Arm(cluster.FailpointReplicaSend, tc.spec); err != nil {
+				t.Fatal(err)
+			}
 
-	ingest(t, owner.srv.URL, channel, msgs)
-	sess, ok := owner.eng.Sessions().Get(channel)
-	if !ok {
-		t.Fatal("session missing on owner")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := sess.Checkpoint(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want := owner.store.Checkpoints()[channel]
-	if _, _, ok := succ.rep.Store().Get(channel); ok {
-		t.Fatal("replica arrived through a dead send path")
-	}
+			ingest(t, owner.srv.URL, channel, msgs)
+			sess, ok := owner.eng.Sessions().Get(channel)
+			if !ok {
+				t.Fatal("session missing on owner")
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := sess.Checkpoint(ctx); err != nil {
+				t.Fatal(err)
+			}
+			want := owner.store.Checkpoints()[channel]
+			if _, _, ok := succ.rep.Store().Get(channel); ok {
+				t.Fatal("replica arrived through a faulted send path")
+			}
 
-	fault.DisarmAll()
-	waitFor(t, 10*time.Second, "anti-entropy to repair the missing replica", func() bool {
-		state, _, ok := succ.rep.Store().Get(channel)
-		return ok && bytes.Equal(state, want)
-	})
+			fault.DisarmAll()
+			waitFor(t, 15*time.Second, "anti-entropy to repair the missing replica", func() bool {
+				state, _, ok := succ.rep.Store().Get(channel)
+				return ok && bytes.Equal(state, want)
+			})
+		})
+	}
 }
 
 // TestReplicaFailoverOnPeerDown: when the owner is declared down, the ring

@@ -563,3 +563,73 @@ func TestRefineStatusPollTwiceHTTP(t *testing.T) {
 		t.Errorf("served dot time %g not adjusted to boundary start %g", jr.Dots[0].Time, jr.Boundaries[0].Start)
 	}
 }
+
+// countingWriter is a reusable ResponseWriter that counts body bytes and
+// keeps nothing: httptest's recorder allocates per response, which would
+// drown the serving path's own count.
+type countingWriter struct {
+	h      http.Header
+	status int
+	bytes  int
+}
+
+func (w *countingWriter) Header() http.Header { return w.h }
+func (w *countingWriter) WriteHeader(c int)   { w.status = c }
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestLiveDotsCacheHitZeroAlloc is the poll lane's allocation contract:
+// serving a cached live-dots response — the full 200 from pre-encoded
+// bytes, or the bodyless 304 a conditional steady-state poller gets —
+// allocates nothing and writes exactly the cached body (or no byte).
+func TestLiveDotsCacheHitZeroAlloc(t *testing.T) {
+	init, target := trainedInitializer(t)
+	eng := liveTestEngine(t, init)
+	svc := &Service{Store: NewStore(), Engine: eng}
+	sess, err := eng.Sessions().GetOrOpen("hit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Ingest(target.Chat.Log.Messages()...); err != nil {
+		t.Fatal(err)
+	}
+	// Flush returns once the mailbox has processed everything before it.
+	if _, err := sess.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := sess.Dots(0); n == 0 {
+		t.Fatal("no dots emitted; the test is vacuous")
+	}
+	prime := httptest.NewRecorder()
+	svc.ServeLiveDots(prime, "hit", 0, "")
+	if prime.Code != http.StatusOK {
+		t.Fatalf("prime GET = %d %s", prime.Code, prime.Body)
+	}
+	etag := prime.Header().Get("ETag")
+
+	for _, tc := range []struct {
+		name, inm string
+		status    int
+		bytes     int
+	}{
+		{"hit-200", "", http.StatusOK, prime.Body.Len()},
+		{"hit-304", etag, http.StatusNotModified, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &countingWriter{h: make(http.Header, 4)}
+			allocs := testing.AllocsPerRun(1000, func() {
+				w.status, w.bytes = 0, 0
+				svc.ServeLiveDots(w, "hit", 0, tc.inm)
+				if w.status != tc.status || w.bytes != tc.bytes {
+					t.Fatalf("cache-hit serve = %d with %d body bytes, want %d with %d",
+						w.status, w.bytes, tc.status, tc.bytes)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("cache-hit serve allocates %.2f allocs/op, want 0", allocs)
+			}
+		})
+	}
+}

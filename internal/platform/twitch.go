@@ -111,4 +111,3 @@ func (s *SimTwitch) handleChat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 }
-
