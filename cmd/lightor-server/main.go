@@ -16,7 +16,7 @@
 //	GET  /api/highlights?video=ID&k=5
 //	POST /api/interactions?video=ID            (JSON array of player events)
 //	GET  /api/interactions?video=ID&offset=N&limit=M (paginated event log)
-//	POST /api/refine?video=ID                  (202: job enqueued)
+//	POST /api/refine?video=ID                  (202: job enqueued; 409: no interactions recorded)
 //	GET  /api/refine/status?job=ID
 //	POST /api/live/chat?channel=ID             (JSON array of chat messages)
 //	POST /api/live/advance?channel=ID&now=T

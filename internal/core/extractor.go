@@ -3,10 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"lightor/internal/ml"
 	"lightor/internal/play"
-	"lightor/internal/stats"
 )
 
 // ExtractorConfig carries the Highlight Extractor's tunables with the
@@ -267,60 +268,128 @@ func (e *Extractor) Config() ExtractorConfig { return e.cfg }
 // reads (a tight after-dot cluster always dominates the overlap graph).
 // The returned slice is freshly allocated.
 func (e *Extractor) Filter(plays []play.Play, dot float64) []play.Play {
-	near := play.Near(plays, dot, e.cfg.Delta)
-	kept := near[:0:0] // new backing array, same type
-	for _, p := range near {
-		d := p.Duration()
-		if d < e.cfg.MinPlaySeconds || d > e.cfg.MaxPlaySeconds {
-			continue
+	return e.appendFiltered(nil, plays, dot)
+}
+
+// appendFiltered appends to dst the plays Filter keeps: those intersecting
+// [dot−Δ, dot+Δ] whose duration lies within [MinPlaySeconds, MaxPlaySeconds].
+func (e *Extractor) appendFiltered(dst, plays []play.Play, dot float64) []play.Play {
+	lo, hi := dot-e.cfg.Delta, dot+e.cfg.Delta
+	for i := range plays {
+		if p := &plays[i]; e.keeps(p, lo, hi) {
+			dst = append(dst, *p)
 		}
-		kept = append(kept, p)
 	}
-	return kept
+	return dst
+}
+
+// keeps is Filter's predicate on one play, [lo, hi] being the association
+// window. The comparisons are written so that a NaN — a position, or the
+// window of a NaN dot — fails the window test, and a NaN duration (∞ − ∞)
+// passes the duration test.
+func (e *Extractor) keeps(p *play.Play, lo, hi float64) bool {
+	if !(p.End >= lo && p.Start <= hi) {
+		return false
+	}
+	d := p.End - p.Start
+	return !(d < e.cfg.MinPlaySeconds || d > e.cfg.MaxPlaySeconds)
 }
 
 // RemoveOutliers removes graph outliers: plays that do not overlap the
 // most-connected play (Section V-C's third filter). It robustifies the
 // median aggregation against stray plays far from the consensus span.
+// Groups of at most two plays are returned as they are; a larger group's
+// survivors come in a freshly allocated slice. Spans that are inverted
+// (Start > End) or carry a NaN, which Filter never lets through, are
+// compared with every other play one by one, so a call costs
+// O(n log n + bad·n).
 func (e *Extractor) RemoveOutliers(plays []play.Play) []play.Play {
-	return removeGraphOutliers(plays)
-}
-
-// removeGraphOutliers builds the overlap graph over plays, finds the
-// highest-degree node o (ties break to the earliest play for determinism),
-// and keeps o plus its neighbors (Section V-C).
-func removeGraphOutliers(plays []play.Play) []play.Play {
-	n := len(plays)
-	if n <= 2 {
+	if len(plays) <= 2 {
 		return plays
 	}
-	adj := make([][]bool, n)
-	degree := make([]int, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if plays[i].Overlaps(plays[j]) {
-				adj[i][j], adj[j][i] = true, true
-				degree[i]++
-				degree[j]++
-			}
-		}
-	}
-	center := 0
-	for i := 1; i < n; i++ {
-		if degree[i] > degree[center] {
-			center = i
-		}
-	}
+	var s refineScratch
+	c := s.graphCentre(plays)
 	var kept []play.Play
-	for i := 0; i < n; i++ {
-		if i == center || adj[center][i] {
-			kept = append(kept, plays[i])
+	for i, p := range plays {
+		if i == c || p.Overlaps(plays[c]) {
+			kept = append(kept, p)
 		}
 	}
 	return kept
+}
+
+// refineScratch holds the buffers one refinement reuses across its
+// iterations: the plays surviving the filter, and two float buffers that
+// serve first as the overlap graph's sorted endpoints, then as the medians'
+// inputs.
+type refineScratch struct {
+	kept         []play.Play
+	starts, ends []float64
+}
+
+// graphCentre returns the index of the play that overlaps the most others —
+// the highest-degree node of Section V-C's overlap graph, ties going to the
+// earliest play. It never builds the graph: once every start and every end
+// is sorted, a span with Start ≤ End overlaps all spans but those starting
+// after its end and those ending before its start, and no span does both, so
+//
+//	degree(i) = |{j : start_j ≤ end_i}| − |{j : end_j < start_i}| − 1
+//
+// (the −1 is the span itself; touching endpoints overlap, as in
+// Play.Overlaps). That argument needs Start ≤ End on both sides, so the
+// spans for which it fails (inverted, or a NaN position) stay out of the
+// sorted arrays and are compared with every other play directly. plays must
+// not be empty.
+func (s *refineScratch) graphCentre(plays []play.Play) int {
+	s.starts = slices.Grow(s.starts[:0], len(plays))
+	s.ends = slices.Grow(s.ends[:0], len(plays))
+	var bad []int
+	for i, p := range plays {
+		if p.Start <= p.End {
+			s.starts = append(s.starts, p.Start)
+			s.ends = append(s.ends, p.End)
+		} else {
+			bad = append(bad, i)
+		}
+	}
+	slices.Sort(s.starts)
+	slices.Sort(s.ends)
+	centre, best := 0, -1
+	for i, p := range plays {
+		degree := 0
+		if p.Start <= p.End {
+			startsBy := sort.Search(len(s.starts), func(k int) bool { return s.starts[k] > p.End })
+			endsBefore := sort.SearchFloat64s(s.ends, p.Start)
+			degree = startsBy - endsBefore - 1
+			for _, b := range bad {
+				if p.Overlaps(plays[b]) {
+					degree++
+				}
+			}
+		} else {
+			for j, q := range plays {
+				if j != i && p.Overlaps(q) {
+					degree++
+				}
+			}
+		}
+		if degree > best {
+			centre, best = i, degree
+		}
+	}
+	return centre
+}
+
+// medianInPlace sorts xs, which must not be empty, and returns its median:
+// stats.Median without the copy.
+func medianInPlace(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	// Halve before adding so the midpoint cannot overflow at float64 extremes.
+	return xs[n/2-1]/2 + xs[n/2]/2
 }
 
 // StepResult records one refinement iteration for diagnostics and the
@@ -337,30 +406,58 @@ type StepResult struct {
 // Step runs one iteration of Algorithm 2's body over already-collected
 // plays: filter, classify, aggregate. h.Start acts as the red dot.
 func (e *Extractor) Step(h Interval, plays []play.Play) StepResult {
+	var s refineScratch
+	return e.step(h, plays, &s)
+}
+
+// step is Step on the caller's scratch: O(plays) to filter, O(n log n) in
+// the n plays near the dot to aggregate, and no allocation once the scratch
+// has grown to fit.
+func (e *Extractor) step(h Interval, plays []play.Play, s *refineScratch) StepResult {
 	dot := h.Start
-	filtered := e.Filter(plays, dot)
+	if s.kept == nil {
+		// Size the buffer to what this dot keeps: a video's plays
+		// outnumber those near one dot several times over.
+		lo, hi := dot-e.cfg.Delta, dot+e.cfg.Delta
+		n := 0
+		for i := range plays {
+			if e.keeps(&plays[i], lo, hi) {
+				n++
+			}
+		}
+		s.kept = make([]play.Play, 0, n)
+	}
+	s.kept = e.appendFiltered(s.kept[:0], plays, dot)
+	filtered := s.kept
 	f := ExtractTypeFeatures(filtered, dot)
 	class := e.classifier.Classify(f)
 
 	res := StepResult{Dot: dot, Plays: len(filtered), Class: class}
 	if class == TypeII {
 		// Drop plays that end before the dot and graph outliers, then take
-		// medians.
-		var kept []play.Play
-		for _, p := range e.RemoveOutliers(filtered) {
-			if p.End >= dot {
-				kept = append(kept, p)
+		// medians. Outlier removal is skipped for groups of at most two.
+		centre := -1
+		if len(filtered) > 2 {
+			centre = s.graphCentre(filtered)
+		}
+		starts, ends := s.starts[:0], s.ends[:0]
+		for i, p := range filtered {
+			inlier := centre < 0 || i == centre || p.Overlaps(filtered[centre])
+			if inlier && p.End >= dot {
+				starts = append(starts, p.Start)
+				ends = append(ends, p.End)
 			}
 		}
-		if len(kept) == 0 {
+		s.starts, s.ends = starts, ends
+		if len(starts) == 0 {
 			// Classifier said usable but every play preceded the dot;
 			// treat as no movement rather than inventing a boundary.
 			res.Refined = h
 			res.Converged = true
 			return res
 		}
-		start := stats.Median(play.Starts(kept))
-		end := stats.Median(play.Ends(kept))
+		start := medianInPlace(starts)
+		end := medianInPlace(ends)
 		if end <= start {
 			end = start + e.cfg.DefaultSpan
 		}
@@ -394,9 +491,10 @@ func (e *Extractor) Refine(h Interval, source InteractionSource) (Interval, []St
 		h.End = h.Start + e.cfg.DefaultSpan
 	}
 	var trace []StepResult
+	var s refineScratch
 	for iter := 0; iter < e.cfg.MaxIterations; iter++ {
 		plays := source.Interactions(h.Start)
-		res := e.Step(h, plays)
+		res := e.step(h, plays, &s)
 		res.Iteration = iter
 		trace = append(trace, res)
 		h = res.Refined

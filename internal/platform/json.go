@@ -3,7 +3,6 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -21,14 +20,11 @@ import (
 //     pool round-trip instead of a fresh encoder plus a growing buffer.
 //     Rendering into the buffer first also means an encode failure is
 //     reported as a clean 500 (and logged) instead of a torn 200 body.
-//   - Request bodies stream-decode through a streamDecoder[T]: the decoder
-//     reads the JSON array element by element into a reused slice, so a
-//     10k-message burst costs one pooled buffer, not an intermediate
-//     garbage slice per request. The json.Decoder itself is reused across
-//     requests via a resettable reader proxy; a decoder that saw a
-//     malformed body (or one with trailing buffered bytes) is discarded
-//     rather than repooled, because its internal state can no longer be
-//     trusted.
+//   - Request bodies of the two write streams — chat messages and player
+//     events — are read into a pooled buffer and parsed in one
+//     reflection-free pass into a pooled slice (arrayIngest); a body outside
+//     the parser's fast shape re-decodes through encoding/json on the same
+//     buffer, so what is accepted, and as what, stays the stdlib's to say.
 
 // maxPooledResponse caps the response buffer retained in the pool; a
 // one-off giant payload must not pin its buffer forever.
@@ -82,137 +78,70 @@ func writeJSON(w http.ResponseWriter, v any) {
 	writeJSONStatus(w, http.StatusOK, v)
 }
 
-// readerProxy lets one long-lived json.Decoder read successive request
-// bodies: point r at the next body and the decoder's refills follow.
-type readerProxy struct{ r io.Reader }
-
-func (p *readerProxy) Read(b []byte) (int, error) { return p.r.Read(b) }
-
-// streamDecoder decodes a JSON array of T off a reader element by element
-// into a reused slice. One instance serves many requests via its pool.
-// (Chat — the highest-rate stream — bypasses this entirely through
-// chatIngest's reflection-free array parse below.)
-type streamDecoder[T any] struct {
-	src   readerProxy
-	dec   *json.Decoder
-	elems []T
-	// reusable is set only after a body parsed cleanly through EOF: the
-	// decoder's internal buffer is then provably empty and its state is
-	// "before a top-level value", i.e. exactly a fresh decoder's.
-	reusable bool
-}
-
-func newStreamDecoder[T any]() *streamDecoder[T] {
-	d := &streamDecoder[T]{}
-	d.dec = json.NewDecoder(&d.src)
-	return d
-}
-
-var errNotArray = errors.New("payload must be a JSON array")
-
-// decode parses one array body. The returned slice is the decoder's reused
-// buffer — valid only until release.
-func (d *streamDecoder[T]) decode(body io.Reader) ([]T, error) {
-	d.src.r = body
-	d.elems = d.elems[:0]
-	d.reusable = false
-	tok, err := d.dec.Token()
-	if err != nil {
-		return nil, err
-	}
-	if delim, ok := tok.(json.Delim); !ok || delim != '[' {
-		return nil, errNotArray
-	}
-	for d.dec.More() {
-		// append a zero T, then decode in place: the zero value guarantees
-		// no field leaks from a previous request's element in this slot.
-		var zero T
-		d.elems = append(d.elems, zero)
-		if err := d.dec.Decode(&d.elems[len(d.elems)-1]); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := d.dec.Token(); err != nil { // consume ']'
-		return nil, err
-	}
-	// Probe for EOF. Only a body that was exactly one array is safe to
-	// reuse the decoder after; trailing bytes are tolerated for the caller
-	// (the old per-request Decode ignored them too) but poison reuse.
-	if _, err := d.dec.Token(); err == io.EOF {
-		d.reusable = true
-	}
-	return d.elems, nil
-}
-
-// release returns the decoder to its pool when its state is trustworthy,
-// zeroing the element buffer so pooled slots never pin request payloads.
-func (d *streamDecoder[T]) release(pool *sync.Pool) {
-	d.src.r = nil
-	clear(d.elems)
-	d.elems = d.elems[:0]
-	if d.reusable && cap(d.elems) <= maxPooledElems {
-		pool.Put(d)
-	}
-}
-
-// eventDecPool serves POST /api/interactions.
-var eventDecPool = sync.Pool{New: func() any { return newStreamDecoder[play.Event]() }}
-
-// chatIngest is the live-chat endpoint's pooled request state: the raw
-// body accumulates into a reused buffer and the message array parses in
-// one reflection-free pass (chat.AppendMessagesJSON); bodies outside the
-// fast shape re-decode through encoding/json on the same buffer, so
-// observable semantics stay the stdlib's. Chat is the highest-rate stream
-// in the system — at goal-moment burst rates this path costs one allocation
-// per request: the string copy of the body that every decoded User and Text
-// is a substring of (which is also what lets buf be refilled at once).
-type chatIngest struct {
+// arrayIngest is a write endpoint's pooled request state: the raw body
+// accumulates into a reused buffer and the JSON array parses in one
+// reflection-free pass (chat.AppendMessagesJSON, play.AppendEventsJSON);
+// bodies outside the fast shape re-decode through encoding/json on the same
+// buffer, so observable semantics stay the stdlib's. Chat is the
+// highest-rate stream in the system — at goal-moment burst rates this path
+// costs one allocation per request: the string copy of the body that every
+// decoded string field is a substring of (which is also what lets buf be
+// refilled at once).
+type arrayIngest[T any] struct {
 	buf   []byte
-	elems []chat.Message
+	elems []T
 }
 
 // maxPooledBody caps the body buffer retained in the pool.
 const maxPooledBody = 1 << 20
 
-var chatIngestPool = sync.Pool{
-	New: func() any { return &chatIngest{buf: make([]byte, 0, 4096)} },
-}
+// chatIngestPool serves POST /api/live/chat, eventIngestPool
+// POST /api/interactions.
+var (
+	chatIngestPool = sync.Pool{
+		New: func() any { return &arrayIngest[chat.Message]{buf: make([]byte, 0, 4096)} },
+	}
+	eventIngestPool = sync.Pool{
+		New: func() any { return &arrayIngest[play.Event]{buf: make([]byte, 0, 4096)} },
+	}
+)
 
-// decode reads the whole body and parses it as a JSON array of messages.
-// Matching the endpoint's historical json.Decoder semantics, only the
-// first JSON value is read — trailing bytes after the array are ignored.
-// The returned slice is pooled — valid only until release.
-func (ci *chatIngest) decode(body io.Reader) ([]chat.Message, error) {
+// decode reads the whole body and parses it as a JSON array of T, fast
+// being T's array parser. Matching the endpoints' historical json.Decoder
+// semantics, only the first JSON value is read — trailing bytes after the
+// array are ignored. The returned slice is pooled — valid only until
+// release.
+func (in *arrayIngest[T]) decode(body io.Reader, fast func(dst []T, body []byte) ([]T, int, bool)) ([]T, error) {
 	var err error
-	ci.buf, err = readAllInto(ci.buf[:0], body)
+	in.buf, err = readAllInto(in.buf[:0], body)
 	if err != nil {
 		return nil, err
 	}
-	msgs, _, ok := chat.AppendMessagesJSON(ci.elems[:0], ci.buf)
+	elems, _, ok := fast(in.elems[:0], in.buf)
 	if ok {
-		ci.elems = msgs
-		return msgs, nil
+		in.elems = elems
+		return elems, nil
 	}
 	// Outside the fast shape (escapes, unknown keys, or just malformed):
 	// encoding/json is the arbiter. Clear the whole capacity first — the
 	// stdlib merges into existing elements, and slots may hold a partial
 	// fast-path prefix (or an earlier request's zeroed remains).
-	ci.elems = ci.elems[:cap(ci.elems)]
-	clear(ci.elems)
-	ci.elems = ci.elems[:0]
-	if err := json.NewDecoder(bytes.NewReader(ci.buf)).Decode(&ci.elems); err != nil {
+	in.elems = in.elems[:cap(in.elems)]
+	clear(in.elems)
+	in.elems = in.elems[:0]
+	if err := json.NewDecoder(bytes.NewReader(in.buf)).Decode(&in.elems); err != nil {
 		return nil, err
 	}
-	return ci.elems, nil
+	return in.elems, nil
 }
 
-// release recycles the request state, zeroing decoded messages so the pool
-// never pins chat text.
-func (ci *chatIngest) release() {
-	clear(ci.elems)
-	ci.elems = ci.elems[:0]
-	if cap(ci.buf) <= maxPooledBody && cap(ci.elems) <= maxPooledElems {
-		chatIngestPool.Put(ci)
+// release recycles the request state into pool, zeroing the decoded
+// elements so the pool never pins a request's strings.
+func (in *arrayIngest[T]) release(pool *sync.Pool) {
+	clear(in.elems)
+	in.elems = in.elems[:0]
+	if cap(in.buf) <= maxPooledBody && cap(in.elems) <= maxPooledElems {
+		pool.Put(in)
 	}
 }
 

@@ -1,106 +1,134 @@
 package platform
 
 import (
+	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"lightor/internal/chat"
+	"lightor/internal/play"
 )
 
-// TestStreamDecoderReuse drives one decoder instance through many bodies —
-// the pooling contract: a decoder that parsed a clean body is reusable,
-// and no field from an earlier request may leak into a later one.
-func TestStreamDecoderReuse(t *testing.T) {
-	d := newStreamDecoder[chat.Message]()
+// decodeEvents runs one body through the interaction endpoint's parser.
+func decodeEvents(in *arrayIngest[play.Event], body string) ([]play.Event, error) {
+	return in.decode(strings.NewReader(body), play.AppendEventsJSON)
+}
 
-	msgs, err := d.decode(strings.NewReader(
-		`[{"time":1,"user":"a","text":"hello"},{"time":2,"user":"b","text":"gg"}]`))
-	if err != nil || len(msgs) != 2 || msgs[1].Text != "gg" {
-		t.Fatalf("first decode = %+v, %v", msgs, err)
-	}
-	if !d.reusable {
-		t.Fatal("clean body did not mark the decoder reusable")
-	}
+// TestEventIngestDecode covers the interaction body parser across its three
+// paths — fast array parse, stdlib fallback, and rejection — plus the
+// pooling hygiene: one instance serves many bodies, and no field from an
+// earlier request may leak into a later one.
+func TestEventIngestDecode(t *testing.T) {
+	in := &arrayIngest[play.Event]{}
 
-	// Second body's elements omit fields the first body set: the zero-slot
-	// guarantee must prevent stale User/Text bleeding through.
-	msgs, err = d.decode(strings.NewReader(`[{"time":3}]`))
-	if err != nil || len(msgs) != 1 {
-		t.Fatalf("second decode = %+v, %v", msgs, err)
-	}
-	if msgs[0].User != "" || msgs[0].Text != "" {
-		t.Fatalf("stale fields leaked across requests: %+v", msgs[0])
+	events, err := decodeEvents(in, `[{"user":"a","seq":1,"type":2,"pos":10.5},{"user":"b","seq":2,"type":3,"pos":12}]`)
+	if err != nil || len(events) != 2 || events[1] != (play.Event{User: "b", Seq: 2, Type: play.EventStop, Pos: 12}) {
+		t.Fatalf("first decode = %+v, %v", events, err)
 	}
 
-	// Empty array, leading/trailing whitespace — all reusable.
-	for _, body := range []string{`[]`, "  [ ] \n", "\t[{\"time\":9}]\n\n"} {
-		if _, err := d.decode(strings.NewReader(body)); err != nil {
+	// Second body's elements omit fields the first body set: nothing stale
+	// may bleed through, on the fast path or (escaped user) the fallback.
+	for _, body := range []string{`[{"pos":3}]`, `[{"pos":3,"user":"\u0061"},{"pos":3}]`} {
+		events, err = decodeEvents(in, body)
+		if err != nil || len(events) == 0 {
+			t.Fatalf("decode(%q) = %+v, %v", body, events, err)
+		}
+		if last := events[len(events)-1]; last != (play.Event{Pos: 3}) {
+			t.Fatalf("decode(%q): stale fields leaked across requests: %+v", body, last)
+		}
+	}
+	if events[0].User != "a" {
+		t.Fatalf("fallback decoded %+v", events[0])
+	}
+
+	// Empty array, leading/trailing whitespace.
+	for _, body := range []string{`[]`, "  [ ] \n", "\t[{\"seq\":9}]\n\n"} {
+		if _, err := decodeEvents(in, body); err != nil {
 			t.Fatalf("decode(%q): %v", body, err)
 		}
-		if !d.reusable {
-			t.Errorf("decode(%q) left decoder non-reusable", body)
-		}
 	}
 
-	// Non-array and truncated bodies: error, and the decoder is poisoned.
-	for _, body := range []string{`{"time":1}`, `[{"time":1}`, `[{"time":`, ``} {
-		if _, err := newStreamDecoderFromBody(t, body); err == nil {
+	// Non-array, truncated, wrongly typed and empty bodies: rejected, and
+	// the instance still serves the next body.
+	for _, body := range []string{`{"seq":1}`, `7`, `[{"seq":1}`, `[{"seq":`, `[{"seq":1.5}]`, `[{"user":7}]`, `[1]`, ``} {
+		if _, err := decodeEvents(in, body); err == nil {
 			t.Errorf("decode(%q) accepted", body)
 		}
 	}
-	bad := newStreamDecoder[chat.Message]()
-	if _, err := bad.decode(strings.NewReader(`[{"time":1}`)); err == nil {
-		t.Fatal("truncated body accepted")
-	}
-	if bad.reusable {
-		t.Fatal("truncated body left decoder marked reusable")
-	}
 
-	// Trailing garbage: tolerated for the caller, but poisons reuse.
-	g := newStreamDecoder[chat.Message]()
-	msgs, err = g.decode(strings.NewReader(`[{"time":5}]garbage`))
-	if err != nil || len(msgs) != 1 {
-		t.Fatalf("trailing-garbage decode = %+v, %v", msgs, err)
+	// Trailing bytes after the array are ignored — the endpoint's
+	// historical json.Decoder first-value semantics, on both paths.
+	for _, body := range []string{`[{"seq":5}]garbage`, `[{"seq":5,"user":"esc\t"}] trailing`} {
+		events, err = decodeEvents(in, body)
+		if err != nil || len(events) != 1 || events[0].Seq != 5 {
+			t.Errorf("decode(%q) = %+v, %v; trailing bytes must be tolerated", body, events, err)
+		}
 	}
-	if g.reusable {
-		t.Fatal("trailing garbage left decoder marked reusable")
-	}
+	in.release(&eventIngestPool)
 }
 
-func newStreamDecoderFromBody(t *testing.T, body string) ([]chat.Message, error) {
-	t.Helper()
-	return newStreamDecoder[chat.Message]().decode(strings.NewReader(body))
-}
-
-// TestStreamDecoderPoolCycle exercises the real pool path under -race:
-// concurrent decodes with interleaved malformed bodies must stay correct —
-// poisoned decoders are dropped, never handed to the next request.
-func TestStreamDecoderPoolCycle(t *testing.T) {
-	pool := sync.Pool{New: func() any { return newStreamDecoder[chat.Message]() }}
+// TestEventIngestPoolCycle exercises the real pool path under -race:
+// concurrent decodes with interleaved fallback and malformed bodies must
+// stay correct.
+func TestEventIngestPoolCycle(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				d := pool.Get().(*streamDecoder[chat.Message])
-				if i%7 == 3 {
-					if _, err := d.decode(strings.NewReader(`[{"time":1}`)); err == nil {
+				in := eventIngestPool.Get().(*arrayIngest[play.Event])
+				switch i % 7 {
+				case 3:
+					if _, err := decodeEvents(in, `[{"seq":1}`); err == nil {
 						t.Error("malformed body accepted")
 					}
-				} else {
-					msgs, err := d.decode(strings.NewReader(`[{"time":1,"user":"u","text":"x"},{"time":2}]`))
-					if err != nil || len(msgs) != 2 || msgs[0].Text != "x" || msgs[1].Text != "" {
-						t.Errorf("decode = %+v, %v", msgs, err)
+				case 5:
+					events, err := decodeEvents(in, `[{"seq":1,"user":"esc\t"}]`)
+					if err != nil || len(events) != 1 || events[0].User != "esc\t" {
+						t.Errorf("fallback = %+v, %v", events, err)
+					}
+				default:
+					events, err := decodeEvents(in, `[{"seq":1,"user":"u","pos":4},{"seq":2}]`)
+					if err != nil || len(events) != 2 || events[0].User != "u" || events[1] != (play.Event{Seq: 2}) {
+						t.Errorf("decode = %+v, %v", events, err)
 					}
 				}
-				d.release(&pool)
+				in.release(&eventIngestPool)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
+}
+
+// TestInteractionsDecodeOneAlloc pins the interaction endpoint's decode
+// cost: a 64-event body of the fast shape costs one allocation — the string
+// copy of the body the Users point into — like chat's.
+func TestInteractionsDecodeOneAlloc(t *testing.T) {
+	var body bytes.Buffer
+	body.WriteByte('[')
+	for i := 0; i < 64; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"user":"viewer%d","seq":%d,"type":%d,"pos":%g}`, i/6, i, i%4, 1000+float64(i)*1.25)
+	}
+	body.WriteByte(']')
+	in := &arrayIngest[play.Event]{}
+	r := bytes.NewReader(nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(body.Bytes())
+		events, err := in.decode(r, play.AppendEventsJSON)
+		if err != nil || len(events) != 64 {
+			t.Fatalf("decode = %d events, %v", len(events), err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("decoding a 64-event body costs %v allocations, want 1", allocs)
+	}
 }
 
 // TestWriteJSONStatusPooledEncoder: repeated responses through the pooled
@@ -133,16 +161,16 @@ func TestWriteJSONStatusPooledEncoder(t *testing.T) {
 // pooling hygiene: no field from an earlier body may survive into a later
 // one, even across the fast/fallback boundary.
 func TestChatIngestDecode(t *testing.T) {
-	ci := &chatIngest{}
+	ci := &arrayIngest[chat.Message]{}
 
-	msgs, err := ci.decode(strings.NewReader(`[{"time":1,"user":"a","text":"gg"},{"time":2}]`))
+	msgs, err := decodeChat(ci, `[{"time":1,"user":"a","text":"gg"},{"time":2}]`)
 	if err != nil || len(msgs) != 2 || msgs[0].Text != "gg" || msgs[1] != (chat.Message{Time: 2}) {
 		t.Fatalf("fast path = %+v, %v", msgs, err)
 	}
 
 	// Escape sequence: outside the fast shape, must fall back to stdlib
 	// and decode correctly — with no stale fields from the prior body.
-	msgs, err = ci.decode(strings.NewReader(`[{"time":3,"text":"line\nbreak"},{"time":4}]`))
+	msgs, err = decodeChat(ci, `[{"time":3,"text":"line\nbreak"},{"time":4}]`)
 	if err != nil || len(msgs) != 2 {
 		t.Fatalf("fallback path = %+v, %v", msgs, err)
 	}
@@ -154,14 +182,14 @@ func TestChatIngestDecode(t *testing.T) {
 	}
 
 	// After a fallback, the fast path must again be clean.
-	msgs, err = ci.decode(strings.NewReader(`[{"time":9}]`))
+	msgs, err = decodeChat(ci, `[{"time":9}]`)
 	if err != nil || len(msgs) != 1 || msgs[0] != (chat.Message{Time: 9}) {
 		t.Fatalf("post-fallback fast path = %+v, %v", msgs, err)
 	}
 
 	// Malformed bodies error through the stdlib arbiter.
 	for _, body := range []string{``, `{"time":1}`, `[{"time":1}`, `[1]`} {
-		if _, err := ci.decode(strings.NewReader(body)); err == nil {
+		if _, err := decodeChat(ci, body); err == nil {
 			t.Errorf("decode(%q) accepted", body)
 		}
 	}
@@ -170,17 +198,22 @@ func TestChatIngestDecode(t *testing.T) {
 	// historical json.Decoder first-value semantics, on both the fast path
 	// and the fallback.
 	for _, body := range []string{`[{"time":20}] trailing`, `[{"time":21,"text":"esc\t"}] trailing`} {
-		msgs, err := ci.decode(strings.NewReader(body))
+		msgs, err := decodeChat(ci, body)
 		if err != nil || len(msgs) != 1 {
 			t.Errorf("decode(%q) = %+v, %v; trailing bytes must be tolerated", body, msgs, err)
 		}
 	}
 
 	// And a clean body still decodes after errors.
-	if msgs, err := ci.decode(strings.NewReader(`[{"time":10,"user":"z"}]`)); err != nil || len(msgs) != 1 || msgs[0].User != "z" {
+	if msgs, err := decodeChat(ci, `[{"time":10,"user":"z"}]`); err != nil || len(msgs) != 1 || msgs[0].User != "z" {
 		t.Fatalf("post-error decode = %+v, %v", msgs, err)
 	}
-	ci.release()
+	ci.release(&chatIngestPool)
+}
+
+// decodeChat runs one body through the live-chat endpoint's parser.
+func decodeChat(in *arrayIngest[chat.Message], body string) ([]chat.Message, error) {
+	return in.decode(strings.NewReader(body), chat.AppendMessagesJSON)
 }
 
 // TestChatIngestPoolCycle hammers the real pool under -race with mixed
@@ -192,24 +225,24 @@ func TestChatIngestPoolCycle(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				ci := chatIngestPool.Get().(*chatIngest)
+				ci := chatIngestPool.Get().(*arrayIngest[chat.Message])
 				switch i % 3 {
 				case 0:
-					msgs, err := ci.decode(strings.NewReader(`[{"time":1,"text":"a"},{"time":2}]`))
+					msgs, err := decodeChat(ci, `[{"time":1,"text":"a"},{"time":2}]`)
 					if err != nil || len(msgs) != 2 || msgs[1].Text != "" {
 						t.Errorf("fast = %+v, %v", msgs, err)
 					}
 				case 1:
-					msgs, err := ci.decode(strings.NewReader(`[{"time":1,"text":"esc\t"}]`))
+					msgs, err := decodeChat(ci, `[{"time":1,"text":"esc\t"}]`)
 					if err != nil || len(msgs) != 1 || msgs[0].Text != "esc\t" {
 						t.Errorf("fallback = %+v, %v", msgs, err)
 					}
 				case 2:
-					if _, err := ci.decode(strings.NewReader(`[{"time":`)); err == nil {
+					if _, err := decodeChat(ci, `[{"time":`); err == nil {
 						t.Error("malformed accepted")
 					}
 				}
-				ci.release()
+				ci.release(&chatIngestPool)
 			}
 		}()
 	}

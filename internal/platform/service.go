@@ -419,17 +419,17 @@ func (s *Service) handleInteractions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseWrite()
-	dec := eventDecPool.Get().(*streamDecoder[play.Event])
-	events, err := dec.decode(r.Body)
+	in := eventIngestPool.Get().(*arrayIngest[play.Event])
+	events, err := in.decode(r.Body, play.AppendEventsJSON)
 	if err != nil {
-		dec.release(&eventDecPool)
+		in.release(&eventIngestPool)
 		http.Error(w, fmt.Sprintf("bad interaction payload: %v", err), http.StatusBadRequest)
 		return
 	}
 	// The store copies (and, when durable, marshals) the events before
 	// returning, so the pooled slice can be released right after.
 	err = s.Store.LogEvents(id, events)
-	dec.release(&eventDecPool)
+	in.release(&eventIngestPool)
 	if err != nil {
 		if errors.Is(err, ErrDegraded) {
 			// The durable backend fail-stopped mid-request (or between the
@@ -530,7 +530,8 @@ func (s *snapshotPlaySource) Interactions(dot float64) []play.Play {
 // handleRefine enqueues background refinement of a video's red dots and
 // returns 202 immediately. Refined dots and boundaries are persisted to
 // the store when the job completes; poll /api/refine/status (or re-fetch
-// /api/highlights) to observe them.
+// /api/highlights) to observe them. A video with no retained interaction
+// event has nothing to refine against: 409, and nothing is enqueued.
 func (s *Service) handleRefine(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("video")
 	if id == "" {
@@ -556,8 +557,15 @@ func (s *Service) handleRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	store := s.Store
+	events := store.Events(id)
+	if len(events) == 0 {
+		// With no plays every step classifies Type I: the job would walk
+		// each dot back MoveBack × MaxIterations and persist that.
+		http.Error(w, "no interaction data recorded", http.StatusConflict)
+		return
+	}
 	job, err := s.Engine.Refine().Enqueue(id, rec.RedDots,
-		&snapshotPlaySource{events: store.Events(id)},
+		&snapshotPlaySource{events: events},
 		func(done engine.RefineJob) {
 			dots := make([]core.RedDot, len(done.Results))
 			spans := make([]core.Interval, len(done.Results))
@@ -647,16 +655,16 @@ func (s *Service) handleLiveChat(w http.ResponseWriter, r *http.Request) {
 	if !s.admitChannelWrite(w, channel) {
 		return
 	}
-	ci := chatIngestPool.Get().(*chatIngest)
-	msgs, err := ci.decode(r.Body)
+	ci := chatIngestPool.Get().(*arrayIngest[chat.Message])
+	msgs, err := ci.decode(r.Body, chat.AppendMessagesJSON)
 	if err != nil {
-		ci.release()
+		ci.release(&chatIngestPool)
 		http.Error(w, fmt.Sprintf("bad chat payload: %v", err), http.StatusBadRequest)
 		return
 	}
 	sess, err := s.Engine.Sessions().GetOrOpen(channel)
 	if err != nil {
-		ci.release()
+		ci.release(&chatIngestPool)
 		s.writeLiveError(w, err)
 		return
 	}
@@ -664,7 +672,7 @@ func (s *Service) handleLiveChat(w http.ResponseWriter, r *http.Request) {
 	// so the decoded slice can be recycled as soon as it returns.
 	err = sess.Ingest(msgs...)
 	accepted := len(msgs)
-	ci.release()
+	ci.release(&chatIngestPool)
 	if err != nil {
 		s.writeLiveError(w, err)
 		return

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -507,6 +509,61 @@ func TestRefineResponsePollStability(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("poll-twice payloads diverge:\n%s\n%s", a, b)
+	}
+}
+
+// TestRefineWithoutInteractionsConflicts: a video nobody has interacted with
+// has nothing to refine against — every step would see zero plays, classify
+// Type I, and the job would walk each dot back MoveBack × MaxIterations and
+// persist that. POST /api/refine answers 409, enqueues nothing and writes
+// nothing, on the in-memory and on the durable backend.
+func TestRefineWithoutInteractionsConflicts(t *testing.T) {
+	init, err := core.NewInitializer(core.DefaultInitializerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := testFileBackend(t, t.TempDir(), FileConfig{})
+	defer fb.Close()
+	for _, tc := range []struct {
+		name  string
+		store *Store
+	}{
+		{"memory", NewStore()},
+		{"file", NewStoreWith(fb)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := &Service{Store: tc.store, Engine: testEngine(t, init)}
+			want := VideoRecord{
+				ID: "vod", Duration: 600,
+				RedDots:    []core.RedDot{{Time: 250, Score: 0.9}, {Time: 400, Score: 0.7}},
+				Boundaries: []core.Interval{{Start: 240, End: 270}, {Start: 395, End: 420}},
+			}
+			if err := tc.store.PutVideo(want); err != nil {
+				t.Fatal(err)
+			}
+			rev, recs := tc.store.Revision("vod"), fb.recs
+
+			rec := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/refine?video=vod", nil))
+			if rec.Code != http.StatusConflict || !strings.Contains(rec.Body.String(), "no interaction data recorded") {
+				t.Fatalf("refine with an empty log = %d %q, want 409", rec.Code, rec.Body.String())
+			}
+			// Nothing was enqueued: the queue drains at once, and a job that
+			// had run would have persisted by then.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := svc.Engine.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := tc.store.Video("vod")
+			if !reflect.DeepEqual(got.RedDots, want.RedDots) || !reflect.DeepEqual(got.Boundaries, want.Boundaries) {
+				t.Errorf("dots %+v boundaries %+v, want them untouched: %+v %+v", got.RedDots, got.Boundaries, want.RedDots, want.Boundaries)
+			}
+			if tc.store.Revision("vod") != rev || fb.recs != recs {
+				t.Errorf("revision %d → %d, WAL records %d → %d; a refused refine must write nothing",
+					rev, tc.store.Revision("vod"), recs, fb.recs)
+			}
+		})
 	}
 }
 

@@ -5,8 +5,10 @@
 package play
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Play is one uninterrupted viewing span by one user.
@@ -84,22 +86,65 @@ type Event struct {
 // user and ordered by Seq; a play span opens at EventPlay and closes at the
 // next Pause/Seek/Stop. Dangling opens (no terminating event) are dropped —
 // we cannot know where the viewer stopped watching. Zero-length spans are
-// dropped too; they carry no highlight evidence.
+// dropped too; they carry no highlight evidence. Plays come out by user in
+// lexical order, each user's in Seq order (arrival order among equal Seqs);
+// the result is nil when there are none. events is not modified.
 func Sessionize(events []Event) []Play {
-	byUser := map[string][]Event{}
+	// Intern users to dense ids in order of first appearance, counting each
+	// user's events.
+	ids := make(map[string]int32)
 	var users []string
-	for _, e := range events {
-		if _, ok := byUser[e.User]; !ok {
-			users = append(users, e.User)
+	var counts []int
+	uid := make([]int32, len(events))
+	for i := range events {
+		// A session's events arrive together: most events repeat the
+		// previous one's user and skip the map.
+		if i > 0 && events[i].User == events[i-1].User {
+			uid[i] = uid[i-1]
+			counts[uid[i]]++
+			continue
 		}
-		byUser[e.User] = append(byUser[e.User], e)
+		id, ok := ids[events[i].User]
+		if !ok {
+			id = int32(len(users))
+			ids[events[i].User] = id
+			users = append(users, events[i].User)
+			counts = append(counts, 0)
+		}
+		uid[i] = id
+		counts[id]++
 	}
-	sort.Strings(users)
+	// Lay the groups out in user order, then counting-sort the events into
+	// them: within a group, arrival order survives.
+	order := make([]int32, len(users))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(users[a], users[b]) })
+	next := make([]int, len(users))
+	at := 0
+	for _, id := range order {
+		next[id] = at
+		at += counts[id]
+	}
+	grouped := make([]Event, len(events))
+	for i := range events {
+		grouped[next[uid[i]]] = events[i]
+		next[uid[i]]++
+	}
 
-	var plays []Play
-	for _, u := range users {
-		evs := byUser[u]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
+	// A play takes an opening and a closing event: at most one per two.
+	plays := make([]Play, 0, len(events)/2)
+	bySeq := func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) }
+	at = 0
+	for _, id := range order {
+		evs := grouped[at : at+counts[id]]
+		at += counts[id]
+		// Clients send Seq ascending; only a group that arrived out of
+		// order pays for the stable sort.
+		if !slices.IsSortedFunc(evs, bySeq) {
+			slices.SortStableFunc(evs, bySeq)
+		}
 		playing := false
 		var start float64
 		for _, e := range evs {
@@ -113,11 +158,14 @@ func Sessionize(events []Event) []Play {
 				}
 			case EventPause, EventSeek, EventStop:
 				if playing && e.Pos > start {
-					plays = append(plays, Play{User: u, Start: start, End: e.Pos})
+					plays = append(plays, Play{User: users[id], Start: start, End: e.Pos})
 				}
 				playing = false
 			}
 		}
+	}
+	if len(plays) == 0 {
+		return nil
 	}
 	return plays
 }
