@@ -57,8 +57,7 @@
 // terminal "end" event (so their long-lived SSE responses finish instead
 // of pinning the HTTP drain), in-flight requests finish, queued live chat
 // is processed, background refinements complete, live sessions write
-// final checkpoints, and the durable store compacts (or, without
-// -data-dir, the optional -store snapshot is written).
+// final checkpoints, and the durable store compacts.
 package main
 
 import (
@@ -94,7 +93,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	workers := flag.Int("workers", 0, "engine session/refine workers (0 = GOMAXPROCS)")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "graceful-drain timeout on shutdown")
-	storePath := flag.String("store", "", "optional store snapshot path: loaded at start, saved on SIGINT/SIGTERM (superseded by -data-dir)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots): interactions and live-session checkpoints survive a crash, and startup replays the log and resumes live channels")
 	eventRetention := flag.Int("event-retention", 100000, "max interaction events retained per video (0 = unlimited)")
 	ckptInterval := flag.Duration("checkpoint-interval", 15*time.Second, "live-session checkpoint cadence with -data-dir (0 or negative disables the interval loop; emit and drain checkpoints always run)")
@@ -108,7 +106,6 @@ func main() {
 	maxInflightWrites := flag.Int("max-inflight-writes", 1024, "global in-flight write budget across all mutating endpoints; beyond it writes get 503 + Retry-After")
 	maxChannelBacklog := flag.Int("max-channel-backlog", 256, "per-channel mailbox backlog budget (queued ingest batches); beyond it that channel's writes get 429 + Retry-After while other channels are unaffected")
 	maxRefineQueue := flag.Int("max-refine-queue", 256, "cap on admitted-but-unfinished refine jobs; beyond it POST /api/refine gets 429 + Retry-After (negative disables)")
-	disableAdmission := flag.Bool("disable-admission", false, "turn off admission control entirely (unbounded queues under overload) — for load experiments only, never production")
 	heartbeatInterval := flag.Duration("heartbeat-interval", time.Second, "cluster peer liveness probe cadence (0 disables heartbeats; down-marking then requires POST /api/cluster/down)")
 	heartbeatMisses := flag.Int("heartbeat-misses", 3, "consecutive missed heartbeats before a peer is marked down (one success marks it back up)")
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 0, "per-probe deadline (0 = -heartbeat-interval)")
@@ -229,11 +226,10 @@ func main() {
 	log.Printf("simulated platform API at %s", apiSrv.URL)
 
 	// Storage: a durable WAL+snapshot backend under -data-dir, or the
-	// in-memory store (optionally seeded from a -store snapshot file).
+	// in-memory store.
 	var store *platform.Store
 	durable := *dataDir != ""
-	switch {
-	case durable:
+	if durable {
 		backend, err := platform.OpenFileBackend(*dataDir, platform.FileConfig{
 			EventRetention: *eventRetention,
 		})
@@ -242,18 +238,7 @@ func main() {
 		}
 		store = platform.NewStoreWith(backend)
 		log.Printf("durable store at %s recovered: %d videos", *dataDir, len(store.VideoIDs()))
-	case *storePath != "":
-		store = platform.NewStore()
-		if f, err := os.Open(*storePath); err == nil {
-			loaded, err := platform.LoadStore(f)
-			f.Close()
-			if err != nil {
-				log.Fatalf("loading store snapshot: %v", err)
-			}
-			store = loaded
-			log.Printf("restored store snapshot with %d videos", len(store.VideoIDs()))
-		}
-	default:
+	} else {
 		store = platform.NewStore()
 	}
 	crawler := &platform.Crawler{BaseURL: apiSrv.URL, Store: store}
@@ -314,10 +299,6 @@ func main() {
 		PushHeartbeat:     *sseHeartbeat,
 		MaxInflightWrites: *maxInflightWrites,
 		MaxChannelBacklog: *maxChannelBacklog,
-		DisableAdmission:  *disableAdmission,
-	}
-	if *disableAdmission {
-		log.Printf("WARNING: admission control disabled — queues are unbounded under overload")
 	}
 
 	// Checkpoint replication: cluster mode with a durable store ships every
@@ -357,7 +338,7 @@ func main() {
 	}()
 
 	// Graceful drain: stop accepting HTTP, drain the engine (queued live
-	// chat and in-flight refine jobs), then snapshot the store.
+	// chat and in-flight refine jobs), then compact the durable store.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	<-sigs
@@ -391,17 +372,6 @@ func main() {
 		} else {
 			log.Printf("durable store compacted and closed")
 		}
-	}
-	if !durable && *storePath != "" {
-		f, err := os.Create(*storePath)
-		if err != nil {
-			log.Fatalf("saving store snapshot: %v", err)
-		}
-		if err := store.Save(f); err != nil {
-			log.Fatalf("saving store snapshot: %v", err)
-		}
-		f.Close()
-		log.Printf("store snapshot saved to %s", *storePath)
 	}
 	log.Printf("shutdown complete")
 }

@@ -504,3 +504,12 @@ func (e *Extractor) Refine(h Interval, source InteractionSource) (Interval, []St
 	}
 	return h, trace
 }
+
+// HighlightResult is one extracted highlight: where the initializer put the
+// red dot, the boundary the extractor converged to, and the refinement
+// trace.
+type HighlightResult struct {
+	Dot      RedDot
+	Boundary Interval
+	Trace    []StepResult
+}

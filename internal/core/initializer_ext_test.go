@@ -174,16 +174,23 @@ func TestWorkflowEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext := mustNewExtractor(t, core.DefaultExtractorConfig(), nil)
-	wf := core.NewWorkflow(init, ext)
 
 	target := data[2]
 	src := &crowdSource{
 		rng:   stats.NewRand(9),
 		video: target.Video,
 	}
-	results, err := wf.Run(target.Chat.Log, target.Video.Duration, 5, src)
+	// The pipeline of Figure 1, serially: red dots from the chat log, each
+	// then refined against the interaction source until convergence.
+	dots, err := init.Detect(target.Chat.Log, target.Video.Duration, 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var results []core.HighlightResult
+	for _, dot := range dots {
+		seed := core.Interval{Start: dot.Time, End: dot.Time + ext.Config().DefaultSpan}
+		boundary, trace := ext.Refine(seed, src)
+		results = append(results, core.HighlightResult{Dot: dot, Boundary: boundary, Trace: trace})
 	}
 	if len(results) == 0 {
 		t.Fatal("workflow produced no highlights")

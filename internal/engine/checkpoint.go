@@ -46,37 +46,14 @@ type CheckpointListener interface {
 	CheckpointDropped(channel string)
 }
 
-// snapshotter is the optional session-backend capability behind
-// checkpointing. Live (online) backends implement it; replay backends do
-// not — a batch job has nothing worth resuming.
-type snapshotter interface {
-	snapshotInto(dst []byte) []byte
-}
-
-func (b onlineBackend) snapshotInto(dst []byte) []byte { return b.od.AppendSnapshot(dst) }
-
-// clocked exposes the detector clock captured by the latest snapshot. The
-// session watermark cannot stand in for it: the mailbox watermark advances
-// at enqueue time and may run ahead of the state a checkpoint serializes.
-type clocked interface {
-	now() float64
-}
-
-func (b onlineBackend) now() float64 { return b.od.Now() }
-
 // checkpointLocked serializes the session's detector into the store.
 // Caller holds s.detMu, so the snapshot is consistent with every envelope
-// processed so far and no message can land mid-serialization. Sessions
-// whose backend cannot snapshot (replay) are a silent no-op.
+// processed so far and no message can land mid-serialization.
 func (s *Session) checkpointLocked() error {
 	if s.mgr.ckpt == nil {
 		return nil
 	}
-	snap, ok := s.det.(snapshotter)
-	if !ok {
-		return nil
-	}
-	s.snapBuf = snap.snapshotInto(s.snapBuf[:0])
+	s.snapBuf = s.det.AppendSnapshot(s.snapBuf[:0])
 	if err := s.mgr.ckpt.PutCheckpoint(s.channel, s.snapBuf); err != nil {
 		return err
 	}
@@ -85,11 +62,10 @@ func (s *Session) checkpointLocked() error {
 	// owner freezes its replicas at the last durable state, consistent with
 	// what a local restart would resume).
 	if lp := s.mgr.ckptListener.Load(); lp != nil {
-		var wm float64
-		if c, ok := s.det.(clocked); ok {
-			wm = c.now()
-		}
-		(*lp).CheckpointSaved(s.channel, s.snapBuf, wm)
+		// The detector clock, not the session watermark: the mailbox
+		// watermark advances at enqueue time and may run ahead of the state
+		// this checkpoint serializes.
+		(*lp).CheckpointSaved(s.channel, s.snapBuf, s.det.Now())
 	}
 	return nil
 }

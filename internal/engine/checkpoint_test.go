@@ -340,9 +340,9 @@ func TestResumeSkipsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// TestReplaySessionsAreNotCheckpointed: the batch/replay path shares the
-// session machinery but must never leave checkpoints behind.
-func TestReplaySessionsAreNotCheckpointed(t *testing.T) {
+// TestExtractHighlightsLeavesNoCheckpoint: the batch path runs on an engine
+// with a checkpoint store but must never leave checkpoints behind.
+func TestExtractHighlightsLeavesNoCheckpoint(t *testing.T) {
 	init, target := trainedFixture(t)
 	store := newMemCheckpoints()
 	eng := newTestEngine(t, init, Config{Checkpoints: store, CheckpointInterval: -1})
@@ -356,6 +356,6 @@ func TestReplaySessionsAreNotCheckpointed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := len(store.Checkpoints()); n != 0 {
-		t.Errorf("replay left %d checkpoints", n)
+		t.Errorf("batch extraction left %d checkpoints", n)
 	}
 }

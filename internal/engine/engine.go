@@ -1,7 +1,6 @@
-// Package engine is LIGHTOR's concurrent session engine: the streaming-first
-// runtime that multiplexes many live channels, refines highlight boundaries
-// in the background, and re-expresses batch detection as replay over the
-// same machinery.
+// Package engine is LIGHTOR's concurrent session engine: the runtime that
+// multiplexes many live channels, refines highlight boundaries in the
+// background, and runs batch extraction of recorded videos.
 //
 // The paper's deployment (Section VI, Figure 5) and future-work direction
 // (Section IX) describe a platform serving many concurrent broadcasts. The
@@ -13,11 +12,10 @@
 //     because exactly one worker owns a mailbox at a time.
 //   - RefineQueue: Extractor.Refine as asynchronous background jobs with
 //     per-dot fan-out, so refining k red dots costs one dot's latency
-//     instead of k (the serial loop the legacy Workflow.Run ran).
-//   - Replay: ExtractHighlights feeds a recorded video through the same
-//     session mailbox machinery with a batch-detection backend, then fans
-//     refinement out through the queue — batch is now a mode of the
-//     streaming path, not a parallel implementation.
+//     instead of k.
+//   - Batch: ExtractHighlights runs Initializer.Detect over a recorded
+//     video's whole chat log on the caller's goroutine, then fans
+//     refinement out through the queue. Sessions are live channels only.
 //
 // Engine.Close drains everything gracefully: intake stops, queued chat and
 // in-flight refinements complete, workers exit.
@@ -27,9 +25,9 @@
 // Ingest is batch-first: every Session.Ingest call — one message or ten
 // thousand — rides ONE mailbox envelope, so the per-call tax (watermark
 // validation, one lock acquisition, one pool dispatch) amortizes across
-// the batch, and the worker hands the whole slice to the detector in a
-// single feedAll call. Batching never changes results: a session fed the
-// same messages in the same order emits bit-identical dots, watermarks,
+// the batch, and the worker feeds the whole slice to the detector in one
+// loop. Batching never changes results: a session fed the same
+// messages in the same order emits bit-identical dots, watermarks,
 // and checkpoints regardless of how the stream was split into batches
 // (ingest order is the only contract; batch boundaries are invisible
 // downstream). Batch buffers are pooled and the mailbox is a reusable
@@ -53,7 +51,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -80,10 +77,9 @@ type Config struct {
 	// when clients submit faster than refinement drains (default 256,
 	// matching the retention cap; negative disables the bound).
 	MaxQueuedRefines int
-	// MaxSessions caps concurrently open sessions, live and replay
-	// combined (default 4096). Opening beyond the cap returns
-	// ErrTooManySessions — backpressure instead of unbounded memory when
-	// clients mint channel ids freely.
+	// MaxSessions caps concurrently open live sessions (default 4096).
+	// Opening beyond the cap returns ErrTooManySessions — backpressure
+	// instead of unbounded memory when clients mint channel ids freely.
 	MaxSessions int
 	// Threshold is the online emission threshold (≤ 0 → OnlineDetector's
 	// default of 0.5).
@@ -131,9 +127,8 @@ type Engine struct {
 	sessions *SessionManager
 	refine   *RefineQueue
 
-	mu       sync.Mutex
-	replaySe int // replay session id sequence
-	closed   bool
+	mu     sync.Mutex
+	closed bool
 }
 
 // New assembles an engine around a trained initializer and an extractor.
@@ -171,45 +166,28 @@ func (e *Engine) Extractor() *core.Extractor { return e.ext }
 // Initializer returns the trained initializer backing all sessions.
 func (e *Engine) Initializer() *core.Initializer { return e.init }
 
-// ExtractHighlights is the batch path expressed as replay: the recorded
-// chat log streams through a session mailbox exactly like live traffic,
-// with a backend that runs the initializer's full-context top-k detection
-// at flush; the resulting dots then refine in parallel on the queue.
-// Results keep the initializer's score order, matching the legacy serial
-// Workflow.Run output exactly.
+// ExtractHighlights is the batch path of Figure 1 on a recorded video: the
+// initializer's full-context top-k detection runs on the caller's
+// goroutine, then the resulting dots refine in parallel on the queue.
+// Results keep the initializer's score order, element for element what
+// Detect followed by a serial per-dot Refine returns.
 func (e *Engine) ExtractHighlights(ctx context.Context, log *chat.Log, duration float64, k int, source core.InteractionSource) ([]core.HighlightResult, error) {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	e.replaySe++
-	id := replayChannelID(e.replaySe)
-	e.mu.Unlock()
-
-	backend := &replayBackend{init: e.init, duration: duration, k: k}
-	s, err := e.sessions.open(id, backend)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	defer e.sessions.Remove(id)
-
-	if err := s.Ingest(log.Messages()...); err != nil {
-		return nil, err
-	}
-	dots, err := s.Flush(ctx)
+	dots, err := e.init.Detect(log, duration, k)
 	if err != nil {
 		return nil, err
 	}
 	// Tracked so Engine.Close's drain waits for this fan-out like it does
 	// for enqueued jobs.
 	return e.refine.refineAllTracked(dots, source)
-}
-
-func replayChannelID(seq int) string {
-	// Distinct namespace so replay sessions can never collide with a live
-	// channel id taken from user input.
-	return "\x00replay/" + strconv.Itoa(seq)
 }
 
 // Close gracefully drains the engine: session intake stops, queued chat

@@ -311,6 +311,24 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// serialReference is the batch pipeline of Figure 1 spelled serially —
+// Detect, then Refine dot by dot — the ground truth ExtractHighlights must
+// reproduce element for element.
+func serialReference(t testing.TB, init *core.Initializer, ext *core.Extractor, log *chat.Log, duration float64, k int, src core.InteractionSource) []core.HighlightResult {
+	t.Helper()
+	dots, err := init.Detect(log, duration, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]core.HighlightResult, 0, len(dots))
+	for _, dot := range dots {
+		seed := core.Interval{Start: dot.Time, End: dot.Time + ext.Config().DefaultSpan}
+		boundary, trace := ext.Refine(seed, src)
+		results = append(results, core.HighlightResult{Dot: dot, Boundary: boundary, Trace: trace})
+	}
+	return results
+}
+
 func TestReplayEquivalence(t *testing.T) {
 	init, target := trainedFixture(t)
 	ext := mustExt(t)
@@ -321,10 +339,7 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 	src := crowdFor(t, target.Video, dots)
 
-	want, err := core.NewWorkflow(init, ext).Run(target.Chat.Log, target.Video.Duration, 5, src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialReference(t, init, ext, target.Chat.Log, target.Video.Duration, 5, src)
 
 	eng := newTestEngine(t, init, Config{})
 	got, err := eng.ExtractHighlights(context.Background(), target.Chat.Log, target.Video.Duration, 5, src)
@@ -332,25 +347,127 @@ func TestReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("engine replay diverged from the serial workflow:\n got %d results %+v\nwant %d results %+v",
+		t.Fatalf("engine extraction diverged from the serial reference:\n got %d results %+v\nwant %d results %+v",
 			len(got), got, len(want), want)
 	}
 
-	// Replay sessions clean up after themselves.
+	// Batch extraction opens no session.
 	if n := len(eng.Sessions().Channels()); n != 0 {
-		t.Errorf("%d replay sessions leaked", n)
+		t.Errorf("%d sessions left behind by a batch extraction", n)
 	}
 
-	// A second replay on the SAME engine must be byte-identical to the
-	// first: batch extraction now reuses one engine per detector, and the
-	// feature pipeline reuses its accumulators across replays, so any
-	// state leaking between runs would surface here.
+	// A second extraction on the SAME engine must be byte-identical to the
+	// first: batch extraction reuses one engine per detector, and the
+	// feature pipeline reuses its accumulators across runs, so any state
+	// leaking between runs would surface here.
 	again, err := eng.ExtractHighlights(context.Background(), target.Chat.Log, target.Video.Duration, 5, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again, want) {
-		t.Fatalf("repeated replay on a reused engine diverged:\n got %+v\nwant %+v", again, want)
+		t.Fatalf("repeated extraction on a reused engine diverged:\n got %+v\nwant %+v", again, want)
+	}
+}
+
+// channelsSource is a fixedSource that also records, on every call, which
+// sessions the manager holds — what a batch extraction's refine fan-out
+// sees mid-run.
+type channelsSource struct {
+	fixedSource
+	mgr *SessionManager
+
+	mu   sync.Mutex
+	seen [][]string
+}
+
+func (c *channelsSource) Interactions(dot float64) []play.Play {
+	c.mu.Lock()
+	c.seen = append(c.seen, c.mgr.Channels())
+	c.mu.Unlock()
+	return c.fixedSource.Interactions(dot)
+}
+
+// TestExtractHighlightsIsNotASession pins what batch extraction no longer
+// shares with live channels: it takes no MaxSessions slot (so it cannot
+// fail with ErrTooManySessions), never shows up in Channels(), writes no
+// checkpoint, honours a cancelled ctx before detecting, and is safe to call
+// concurrently — every caller gets the serial reference.
+func TestExtractHighlightsIsNotASession(t *testing.T) {
+	init, target := trainedFixture(t)
+	ext := mustExt(t)
+	log, duration := target.Chat.Log, target.Video.Duration
+	dots, err := init.Detect(log, duration, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crowd := crowdFor(t, target.Video, dots)
+	want := serialReference(t, init, ext, log, duration, 5, crowd)
+	if len(want) == 0 {
+		t.Fatal("reference extracted nothing; test is vacuous")
+	}
+
+	store := newMemCheckpoints()
+	eng := newTestEngine(t, init, Config{MaxSessions: 1, Checkpoints: store, CheckpointInterval: -1})
+	if _, err := eng.Sessions().Open("live"); err != nil {
+		t.Fatal(err)
+	}
+	wantChannels := []string{"live"}
+	putsBefore := store.putCount()
+
+	src := &channelsSource{fixedSource: crowd, mgr: eng.Sessions()}
+	got, err := eng.ExtractHighlights(context.Background(), log, duration, 5, src)
+	if err != nil {
+		t.Fatalf("ExtractHighlights beside a full session table: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("extraction diverged from the serial reference:\n got %+v\nwant %+v", got, want)
+	}
+	if len(src.seen) == 0 {
+		t.Fatal("interaction source never consulted; the during-run check is vacuous")
+	}
+	for i, chans := range src.seen {
+		if !reflect.DeepEqual(chans, wantChannels) {
+			t.Fatalf("Channels() during extraction (call %d) = %q, want %q", i, chans, wantChannels)
+		}
+	}
+	if chans := eng.Sessions().Channels(); !reflect.DeepEqual(chans, wantChannels) {
+		t.Errorf("Channels() after extraction = %q, want %q", chans, wantChannels)
+	}
+	if n := store.putCount() - putsBefore; n != 0 {
+		t.Errorf("extraction wrote %d checkpoints", n)
+	}
+
+	// A cancelled ctx is reported before any detection work: the source is
+	// never reached.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	src.seen = nil
+	if _, err := eng.ExtractHighlights(cancelled, log, duration, 5, src); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExtractHighlights(cancelled ctx) = %v, want context.Canceled", err)
+	}
+	if len(src.seen) != 0 {
+		t.Error("cancelled extraction still reached the interaction source")
+	}
+
+	const callers = 8
+	results := make([][]core.HighlightResult, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			results[c], errs[c] = eng.ExtractHighlights(context.Background(), log, duration, 5, crowd)
+		}(c)
+	}
+	wg.Wait()
+	for c := range results {
+		if errs[c] != nil {
+			t.Fatalf("concurrent extraction %d: %v", c, errs[c])
+		}
+		if !reflect.DeepEqual(results[c], want) {
+			t.Errorf("concurrent extraction %d diverged from the serial reference", c)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"lightor/internal/core"
@@ -19,10 +18,6 @@ import (
 // seeding, bit-identical detector state. The producer continues from the
 // session watermark on the new owner; viewers' cursors into the emission
 // history stay valid because the history travels inside the snapshot.
-
-// errNotSnapshottable reports a detach on a session whose backend cannot
-// serialize (replay sessions — batch jobs have nothing worth moving).
-var errNotSnapshottable = errors.New("engine: session backend does not support snapshots")
 
 // DetachSession ends this process's ownership of a live channel without
 // flushing it: intake stops immediately (further Ingest returns
@@ -66,11 +61,8 @@ func (m *SessionManager) DetachSession(ctx context.Context, channel string) ([]b
 		return nil, ctx.Err()
 	}
 	s.mu.Lock()
-	state, derr := s.detachState, s.detachErr
+	state := s.detachState
 	s.mu.Unlock()
-	if derr != nil {
-		return nil, derr
-	}
 	// The mailbox is empty (closed session, detach was the final
 	// envelope), so the session can leave the manager. Like CloseSession,
 	// concurrent detaches may notify the listener twice; listeners treat
@@ -140,7 +132,7 @@ func (m *SessionManager) restoreFromState(channel string, state []byte) (*Sessio
 	if err := od.RestoreSnapshot(state); err != nil {
 		return nil, fmt.Errorf("engine: restoring %q: %w", channel, err)
 	}
-	s, err := m.prepare(channel, onlineBackend{od: od})
+	s, err := m.prepare(channel, od)
 	if err != nil {
 		return nil, err
 	}

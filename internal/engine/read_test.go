@@ -8,43 +8,19 @@ import (
 	"testing"
 	"time"
 
-	"lightor/internal/chat"
 	"lightor/internal/core"
 )
 
-// scriptedBackend emits one deterministic dot per message — full control
-// over the emission history for snapshot-semantics tests.
-type scriptedBackend struct{ n int }
-
-func (b *scriptedBackend) feedAll(ms []chat.Message) ([]core.RedDot, error) {
-	dots := make([]core.RedDot, len(ms))
-	for i := range ms {
-		b.n++
-		dots[i] = core.RedDot{Time: float64(b.n), Score: 1}
+// emitN publishes n scripted dots (times start+1 … start+n) the way the
+// mailbox worker does after a feed — full control over the emission
+// history for snapshot-semantics tests, with nothing queued so nothing
+// races the publish.
+func emitN(s *Session, start, n int) {
+	dots := make([]core.RedDot, n)
+	for i := range dots {
+		dots[i] = core.RedDot{Time: float64(start + i + 1), Score: 1}
 	}
-	return dots, nil
-}
-func (b *scriptedBackend) advance(now float64) []core.RedDot { return nil }
-func (b *scriptedBackend) flush() ([]core.RedDot, error)     { return nil, nil }
-
-// ingestN feeds n messages with increasing timestamps and waits for the
-// mailbox to drain, so the emission snapshot is stable when it returns.
-func ingestN(t *testing.T, s *Session, start, n int) {
-	t.Helper()
-	msgs := make([]chat.Message, n)
-	for i := range msgs {
-		msgs[i] = chat.Message{Time: float64(start + i), Text: "m"}
-	}
-	if err := s.Ingest(msgs...); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Pending() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("mailbox never drained")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	s.publishDots(dots)
 }
 
 // TestDotsPageSnapshotSemantics pins the read-fast-lane contract: cursor
@@ -54,7 +30,7 @@ func ingestN(t *testing.T, s *Session, start, n int) {
 func TestDotsPageSnapshotSemantics(t *testing.T) {
 	init, _ := trainedFixture(t)
 	eng := newTestEngine(t, init, Config{})
-	s, err := eng.Sessions().open("scripted", &scriptedBackend{})
+	s, err := eng.Sessions().Open("scripted")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +44,7 @@ func TestDotsPageSnapshotSemantics(t *testing.T) {
 	}
 	v0 := s.DotsVersion()
 
-	ingestN(t, s, 0, 3)
+	emitN(s, 0, 3)
 	page1, next1, v1 := s.DotsPage(0)
 	if next1 != 3 || len(page1) != 3 {
 		t.Fatalf("after 3 emissions: next=%d len=%d, want 3/3", next1, len(page1))
@@ -92,7 +68,7 @@ func TestDotsPageSnapshotSemantics(t *testing.T) {
 	}
 
 	// Immutability: the old page must not observe later emissions.
-	ingestN(t, s, 3, 2)
+	emitN(s, 3, 2)
 	if len(page1) != 3 || page1[0].Time != 1 || page1[2].Time != 3 {
 		t.Fatalf("published snapshot mutated under a reader: %v", page1)
 	}
@@ -124,17 +100,17 @@ func TestDotVersionsUniqueAcrossSessions(t *testing.T) {
 	init, _ := trainedFixture(t)
 	eng := newTestEngine(t, init, Config{})
 
-	s1, err := eng.Sessions().open("reused", &scriptedBackend{})
+	s1, err := eng.Sessions().Open("reused")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestN(t, s1, 0, 2)
+	emitN(s1, 0, 2)
 	_, _, v1 := s1.DotsPage(0)
 	if _, err := eng.Sessions().CloseSession(context.Background(), "reused"); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := eng.Sessions().open("reused", &scriptedBackend{})
+	s2, err := eng.Sessions().Open("reused")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +277,12 @@ func TestDotListenerLifecycle(t *testing.T) {
 	lis := &recordingListener{}
 	eng.Sessions().SetDotListener(lis)
 
-	s, err := eng.Sessions().open("hooked", &scriptedBackend{})
+	s, err := eng.Sessions().Open("hooked")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestN(t, s, 0, 3)
-	ingestN(t, s, 3, 2)
+	emitN(s, 0, 3)
+	emitN(s, 3, 2)
 
 	lis.mu.Lock()
 	pubs := append([]uint64(nil), lis.published...)
@@ -339,11 +315,11 @@ func TestDotListenerLifecycle(t *testing.T) {
 
 	// Unregister: further publications must not reach the old listener.
 	eng.Sessions().SetDotListener(nil)
-	s2, err := eng.Sessions().open("unhooked", &scriptedBackend{})
+	s2, err := eng.Sessions().Open("unhooked")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestN(t, s2, 0, 1)
+	emitN(s2, 0, 1)
 	lis.mu.Lock()
 	n := len(lis.published)
 	lis.mu.Unlock()
@@ -358,11 +334,11 @@ func TestDotListenerLifecycle(t *testing.T) {
 func TestDotsPageZeroAlloc(t *testing.T) {
 	init, _ := trainedFixture(t)
 	eng := newTestEngine(t, init, Config{})
-	s, err := eng.Sessions().open("scripted", &scriptedBackend{})
+	s, err := eng.Sessions().Open("scripted")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestN(t, s, 0, 64)
+	emitN(s, 0, 64)
 	_, tip, _ := s.DotsPage(0)
 	if tip != 64 {
 		t.Fatalf("tip = %d, want 64", tip)

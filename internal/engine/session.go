@@ -42,65 +42,6 @@ var (
 	ErrSessionExists = errors.New("engine: session already open")
 )
 
-// sessionDetector is the per-session detection backend. Live sessions wrap
-// core.OnlineDetector; replay sessions accumulate the log and run the batch
-// initializer at flush, which is how batch extraction becomes "replay over
-// the streaming path" rather than a separate pipeline.
-//
-// feedAll consumes a whole ingest batch in one call — the mailbox hands a
-// batch envelope's slice straight through, so the per-message cost is the
-// detector's alone, with no per-message dispatch above it. The slice is
-// only valid for the duration of the call (it returns to a pool);
-// implementations must copy any messages they retain.
-type sessionDetector interface {
-	feedAll(ms []chat.Message) ([]core.RedDot, error)
-	advance(now float64) []core.RedDot
-	flush() ([]core.RedDot, error)
-}
-
-// onlineBackend adapts core.OnlineDetector to the sessionDetector shape.
-type onlineBackend struct{ od *core.OnlineDetector }
-
-func (b onlineBackend) feedAll(ms []chat.Message) ([]core.RedDot, error) {
-	var dots []core.RedDot
-	for _, m := range ms {
-		d, err := b.od.Feed(m)
-		if len(d) > 0 {
-			dots = append(dots, d...)
-		}
-		if err != nil {
-			return dots, err
-		}
-	}
-	return dots, nil
-}
-func (b onlineBackend) advance(now float64) []core.RedDot { return b.od.Advance(now) }
-func (b onlineBackend) flush() ([]core.RedDot, error)     { return b.od.Flush(), nil }
-
-// replayBackend buffers the stream and runs batch top-k detection when the
-// stream ends. It sees exactly the same message sequence a live session
-// would, but normalizes features over the full log — the semantics of
-// Initializer.Detect, and therefore of the legacy Workflow.Run.
-type replayBackend struct {
-	init     *core.Initializer
-	duration float64
-	k        int
-	messages []chat.Message
-}
-
-func (b *replayBackend) feedAll(ms []chat.Message) ([]core.RedDot, error) {
-	// One append for the whole batch. The envelope's slice is pooled, so
-	// the copy is mandatory, not just prudent.
-	b.messages = append(b.messages, ms...)
-	return nil, nil
-}
-
-func (b *replayBackend) advance(now float64) []core.RedDot { return nil }
-
-func (b *replayBackend) flush() ([]core.RedDot, error) {
-	return b.init.Detect(chat.NewLog(b.messages), b.duration, b.k)
-}
-
 // envelope is one unit of mailbox work: a message batch, a clock advance,
 // a checkpoint request, or a flush. Exactly one kind set per envelope.
 // A whole Ingest batch rides ONE envelope — one lock acquisition and one
@@ -244,10 +185,10 @@ type DotListener interface {
 }
 
 // Session is one live channel's detection state: an ordered mailbox in
-// front of a detection backend. Any number of goroutines may enqueue work;
-// exactly one pool worker drains the mailbox at a time, so the backend
-// itself never sees concurrency and messages are processed in arrival
-// order.
+// front of a core.OnlineDetector. Any number of goroutines may enqueue
+// work; exactly one pool worker drains the mailbox at a time, so the
+// detector itself never sees concurrency and messages are processed in
+// arrival order.
 type Session struct {
 	channel string
 	mgr     *SessionManager
@@ -270,10 +211,9 @@ type Session struct {
 	// processed. Guarded by mu.
 	detachDone  chan struct{}
 	detachState []byte
-	detachErr   error
 
 	detMu   sync.Mutex // guards det across worker/flush handoffs
-	det     sessionDetector
+	det     *core.OnlineDetector
 	snapBuf []byte // reusable checkpoint encode buffer; guarded by detMu
 }
 
@@ -282,7 +222,7 @@ func (s *Session) Channel() string { return s.channel }
 
 // Ingest validates and enqueues a batch of live chat messages as ONE
 // envelope: one watermark check, one lock acquisition, one dispatch —
-// the whole batch then flows through the worker in a single feedAll call,
+// the whole batch then flows through the worker in a single feedAll loop,
 // so the per-message mailbox tax is amortized across the batch. Order is
 // checked against the session's high-water mark at enqueue time (including
 // within the batch itself), so the caller gets a synchronous ErrOutOfOrder
@@ -410,16 +350,20 @@ func (s *Session) DotsPage(cursor int) ([]core.RedDot, int, uint64) {
 // loading the dots; see DotsPage.
 func (s *Session) DotsVersion() uint64 { return s.dots.Load().version }
 
-// publishDots appends newly emitted dots as a fresh immutable snapshot.
-// Copy-on-write: the new backing array is allocated here (emissions are
-// rare — a handful per broadcast) so every previously returned DotsPage
-// slice stays valid. Called only by the worker owning the mailbox.
+// publishDots appends newly emitted dots as a fresh immutable snapshot and
+// tells the listener. Copy-on-write: the new backing array is allocated
+// here (emissions are rare — a handful per broadcast) so every previously
+// returned DotsPage slice stays valid. Called only by the worker owning the
+// mailbox.
 func (s *Session) publishDots(fresh []core.RedDot) {
 	old := s.dots.Load().dots
 	merged := make([]core.RedDot, len(old)+len(fresh))
 	copy(merged, old)
 	copy(merged[len(old):], fresh)
 	s.dots.Store(newDotSnapshot(merged))
+	if lp := s.mgr.listener.Load(); lp != nil {
+		(*lp).DotsPublished(s)
+	}
 }
 
 // restoreDots replaces the emission history wholesale — the resume path,
@@ -479,7 +423,7 @@ func (s *Session) process(env *envelope) {
 			env.ckptRes <- cerr
 		}
 	case env.msgs != nil:
-		dots, err = s.det.feedAll(env.msgs)
+		dots, err = s.feedAll(env.msgs)
 		env.release()
 	case env.detach:
 		// Handoff: serialize the detector as-is — open windows, pending
@@ -488,21 +432,15 @@ func (s *Session) process(env *envelope) {
 		// is also checkpointed locally first, so a crash between this
 		// point and the transfer's confirmation still has the latest
 		// state durable on this node.
-		if snap, ok := s.det.(snapshotter); ok {
-			state := snap.snapshotInto(nil)
-			_ = s.checkpointLocked()
-			s.mu.Lock()
-			s.detachState = state
-			s.mu.Unlock()
-		} else {
-			s.mu.Lock()
-			s.detachErr = errNotSnapshottable
-			s.mu.Unlock()
-		}
+		state := s.det.AppendSnapshot(nil)
+		_ = s.checkpointLocked()
+		s.mu.Lock()
+		s.detachState = state
+		s.mu.Unlock()
 	case env.flush:
-		dots, err = s.det.flush()
+		dots = s.det.Flush()
 	default:
-		dots = s.det.advance(env.advance)
+		dots = s.det.Advance(env.advance)
 	}
 	// Checkpoint-on-emit: a dot is acknowledged to pollers the moment it
 	// lands in s.emitted, so persist the detector state that contains it
@@ -521,9 +459,6 @@ func (s *Session) process(env *envelope) {
 
 	if len(dots) > 0 {
 		s.publishDots(dots)
-		if lp := s.mgr.listener.Load(); lp != nil {
-			(*lp).DotsPublished(s)
-		}
 	}
 	if err != nil {
 		s.mu.Lock()
@@ -535,6 +470,23 @@ func (s *Session) process(env *envelope) {
 	if env.done != nil {
 		close(env.done)
 	}
+}
+
+// feedAll feeds a whole ingest batch to the detector, so the per-message
+// cost is the detector's alone. On a feed error it returns the dots emitted
+// before it.
+func (s *Session) feedAll(ms []chat.Message) ([]core.RedDot, error) {
+	var dots []core.RedDot
+	for _, m := range ms {
+		d, err := s.det.Feed(m)
+		if len(d) > 0 {
+			dots = append(dots, d...)
+		}
+		if err != nil {
+			return dots, err
+		}
+	}
+	return dots, nil
 }
 
 // SessionManager multiplexes many live channels over a bounded worker
@@ -628,7 +580,22 @@ func (m *SessionManager) dispatch(s *Session) {
 // Open creates the live session for a channel, erroring if it already
 // exists. The detector must be trained.
 func (m *SessionManager) Open(channel string) (*Session, error) {
-	return m.open(channel, nil)
+	od, err := core.NewOnlineDetector(m.init, m.threshold)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case m.warmup > 0:
+		od.SetWarmup(m.warmup)
+	case m.warmup < 0:
+		od.SetWarmup(0) // explicitly disabled
+	}
+	// warmup == 0: keep OnlineDetector's 300 s default.
+	s, err := m.prepare(channel, od)
+	if err != nil {
+		return nil, err
+	}
+	return m.register(s)
 }
 
 // GetOrOpen returns the existing session for a channel or opens a new one —
@@ -640,7 +607,7 @@ func (m *SessionManager) GetOrOpen(channel string) (*Session, error) {
 		return s, nil
 	}
 	m.mu.Unlock()
-	s, err := m.open(channel, nil)
+	s, err := m.Open(channel)
 	if errors.Is(err, ErrSessionExists) {
 		return m.GetOrOpen(channel)
 	}
@@ -699,35 +666,13 @@ func (m *SessionManager) Channels() []string {
 	return out
 }
 
-func (m *SessionManager) open(channel string, det sessionDetector) (*Session, error) {
-	s, err := m.prepare(channel, det)
-	if err != nil {
-		return nil, err
-	}
-	return m.register(s)
-}
-
 // prepare constructs a fully initialized but NOT yet registered session.
 // Callers that need to seed state beyond the empty defaults (resume) do
 // so between prepare and register, while the session is still invisible
 // to every reader and producer.
-func (m *SessionManager) prepare(channel string, det sessionDetector) (*Session, error) {
+func (m *SessionManager) prepare(channel string, det *core.OnlineDetector) (*Session, error) {
 	if channel == "" {
 		return nil, errors.New("engine: session needs a channel id")
-	}
-	if det == nil {
-		od, err := core.NewOnlineDetector(m.init, m.threshold)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case m.warmup > 0:
-			od.SetWarmup(m.warmup)
-		case m.warmup < 0:
-			od.SetWarmup(0) // explicitly disabled
-		}
-		// warmup == 0: keep OnlineDetector's 300 s default.
-		det = onlineBackend{od: od}
 	}
 	s := &Session{channel: channel, mgr: m, det: det}
 	s.dots.Store(newDotSnapshot(nil))

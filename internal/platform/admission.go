@@ -120,9 +120,6 @@ func (s *Service) maxChannelBacklog() int {
 // 503 + Retry-After and reporting false when the node is saturated. On
 // true the caller must releaseWrite when the handler returns.
 func (s *Service) acquireWrite(w http.ResponseWriter) bool {
-	if s.DisableAdmission {
-		return true
-	}
 	if s.inflightWrites.Add(1) > s.maxInflightWrites() {
 		s.inflightWrites.Add(-1)
 		s.shed.globalInflight.Add(1)
@@ -148,20 +145,13 @@ func (s *Service) admitStore(w http.ResponseWriter) bool {
 	return true
 }
 
-func (s *Service) releaseWrite() {
-	if !s.DisableAdmission {
-		s.inflightWrites.Add(-1)
-	}
-}
+func (s *Service) releaseWrite() { s.inflightWrites.Add(-1) }
 
 // admitChannelWrite checks the channel's mailbox backlog before decoding
 // an ingest body, answering 429 + Retry-After and reporting false when
 // the channel is over budget. A channel with no session yet is always
 // admitted — there is nothing queued to protect.
 func (s *Service) admitChannelWrite(w http.ResponseWriter, channel string) bool {
-	if s.DisableAdmission {
-		return true
-	}
 	sess, ok := s.Engine.Sessions().Get(channel)
 	if !ok {
 		return true

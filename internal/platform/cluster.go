@@ -544,7 +544,8 @@ func (s *Service) clusterDo(ctx context.Context, peer, method, url string, body 
 				break
 			}
 		}
-		out, err := s.clusterDoOnce(ctx, method, url, body, br)
+		var out HandoffResponse
+		err := s.clusterDoOnce(ctx, method, url, body, br, &out)
 		if err == nil || !errors.Is(err, errClusterTransport) {
 			return out, err
 		}
@@ -554,13 +555,14 @@ func (s *Service) clusterDo(ctx context.Context, peer, method, url string, body 
 }
 
 // clusterDoOnce performs one control-plane call attempt under its own
-// deadline. Errors wrapping errClusterTransport are retryable; anything
-// else (including non-2xx statuses) is the peer's authoritative answer.
-func (s *Service) clusterDoOnce(ctx context.Context, method, url string, body []byte, br *cluster.Breaker) (HandoffResponse, error) {
+// deadline and decodes the 2xx JSON answer into out. Errors wrapping
+// errClusterTransport are retryable; anything else (including non-2xx
+// statuses) is the peer's authoritative answer.
+func (s *Service) clusterDoOnce(ctx context.Context, method, url string, body []byte, br *cluster.Breaker, out any) error {
 	if fault.Enabled() {
 		if ferr := fault.Hit(cluster.FailpointControl); ferr != nil {
 			br.Failure()
-			return HandoffResponse{}, fmt.Errorf("%w: %w", errClusterTransport, ferr)
+			return fmt.Errorf("%w: %w", errClusterTransport, ferr)
 		}
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.Cluster.Timeout())
@@ -571,7 +573,7 @@ func (s *Service) clusterDoOnce(ctx context.Context, method, url string, body []
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return HandoffResponse{}, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if s.Cluster.Secret != "" {
@@ -580,19 +582,15 @@ func (s *Service) clusterDoOnce(ctx context.Context, method, url string, body []
 	resp, err := s.Cluster.Client().Do(req)
 	if err != nil {
 		br.Failure()
-		return HandoffResponse{}, fmt.Errorf("%w: %w", errClusterTransport, err)
+		return fmt.Errorf("%w: %w", errClusterTransport, err)
 	}
 	br.Success()
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return HandoffResponse{}, fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
+		return fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
 	}
-	var out HandoffResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return HandoffResponse{}, err
-	}
-	return out, nil
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // maxResumeState caps an accepted snapshot transfer. Detector snapshots

@@ -286,90 +286,17 @@ func (fb *FileBackend) validateLocked(rec walRecord) error {
 	return nil
 }
 
-// mutate logs one mutation and applies it to the materialized state under
-// the backend mutex, then (for durable ops) waits outside the mutex for
-// the group commit covering it — so concurrent durable mutations share
-// fsyncs instead of serializing on them.
-func (fb *FileBackend) mutate(rec walRecord, durable bool) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("platform: encoding wal record: %w", err)
-	}
-	fb.mu.Lock()
-	if fb.closed {
-		fb.mu.Unlock()
-		return fmt.Errorf("platform: file backend is closed")
-	}
-	if fb.degraded.Load() {
-		fb.mu.Unlock()
-		return fb.degradedError()
-	}
-	// Validate, append, apply — in that order. Validation errors (unknown
-	// video, bad record) must not pollute the log; and a mutation the log
-	// rejects must never reach the materialized state, or a later snapshot
-	// compaction (which serializes that state) would persist a write the
-	// caller was told failed.
-	if err := fb.validateLocked(rec); err != nil {
-		fb.mu.Unlock()
-		return err
-	}
-	seq, err := fb.w.Append(payload)
-	if err != nil {
-		poisoned := fb.w.Err() != nil
-		fb.mu.Unlock()
-		if poisoned {
-			fb.failStop(err)
-			return fb.degradedError()
-		}
-		return err
-	}
-	if err := applyWALRecord(fb.mem, rec); err != nil {
-		// Unreachable when validateLocked is in sync with applyWALRecord;
-		// surface loudly rather than serve state the log disagrees with.
-		fb.mu.Unlock()
-		return fmt.Errorf("platform: logged mutation failed to apply: %w", err)
-	}
-	w := fb.w
-	fb.recs++
-	if fb.recs >= fb.nextCompact {
-		// The mutation itself has already succeeded (logged + applied), so
-		// a compaction failure must NOT fail this call: a false NACK would
-		// make the client retry and duplicate an append-only event. The
-		// WAL still holds everything; defer the next attempt a full
-		// interval rather than hammering a sick disk on every mutation,
-		// and let Close's own compaction report the condition if it
-		// persists.
-		if err := fb.compactLocked(); err != nil {
-			fb.nextCompact = fb.recs + fb.cfg.SnapshotEvery
-		} else {
-			fb.nextCompact = fb.cfg.SnapshotEvery
-		}
-	}
-	fb.mu.Unlock()
-
-	if durable {
-		// If a compaction just retired w, its Close already made every
-		// record durable and WaitDurable returns immediately. A wait
-		// failure means the group commit's fsync failed: the record was
-		// applied to memory but its durability is unknown, so NACK it and
-		// fail-stop — the poisoned writer guarantees it is never acked
-		// later either.
-		if err := w.WaitDurable(seq); err != nil {
-			fb.failStop(err)
-			return fb.degradedError()
-		}
-	}
-	return nil
-}
-
-// mutateBatch logs a burst of mutations through one wal.AppendBatch — one
-// staging-buffer write, one group-commit wait for the whole burst — and
-// applies them in order to the materialized state. Validation covers the
-// entire batch before any byte reaches the log, so a rejected burst leaves
-// both the log and the state untouched; on disk the batch is bit-identical
-// to the same records appended one call at a time, which is what keeps
-// replay of batched and sequential histories interchangeable.
-func (fb *FileBackend) mutateBatch(recs []walRecord, durable bool) error {
+// mutate is the one write path: it logs a burst of mutations (usually one)
+// through a single wal.AppendBatch — one staging-buffer write — and applies
+// them in order to the materialized state under the backend mutex, then
+// (for durable ops) waits outside the mutex for the group commit covering
+// the burst, so concurrent durable mutations share fsyncs instead of
+// serializing on them. Validation covers every record before any byte
+// reaches the log, so a rejected burst leaves both the log and the state
+// untouched; on disk a burst is bit-identical to the same records logged
+// one call at a time, which keeps replay of batched and sequential
+// histories interchangeable.
+func (fb *FileBackend) mutate(durable bool, recs ...walRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -390,6 +317,11 @@ func (fb *FileBackend) mutateBatch(recs []walRecord, durable bool) error {
 		fb.mu.Unlock()
 		return fb.degradedError()
 	}
+	// Validate, append, apply — in that order. Validation errors (unknown
+	// video, bad record) must not pollute the log; and a mutation the log
+	// rejects must never reach the materialized state, or a later snapshot
+	// compaction (which serializes that state) would persist a write the
+	// caller was told failed.
 	for i := range recs {
 		if err := fb.validateLocked(recs[i]); err != nil {
 			fb.mu.Unlock()
@@ -417,8 +349,13 @@ func (fb *FileBackend) mutateBatch(recs []walRecord, durable bool) error {
 	w := fb.w
 	fb.recs += len(recs)
 	if fb.recs >= fb.nextCompact {
-		// Same policy as mutate: the burst has already succeeded, so a
-		// compaction failure defers the next attempt instead of NACKing.
+		// The burst itself has already succeeded (logged + applied), so a
+		// compaction failure must NOT fail this call: a false NACK would
+		// make the client retry and duplicate an append-only event. The
+		// WAL still holds everything; defer the next attempt a full
+		// interval rather than hammering a sick disk on every mutation,
+		// and let Close's own compaction report the condition if it
+		// persists.
 		if err := fb.compactLocked(); err != nil {
 			fb.nextCompact = fb.recs + fb.cfg.SnapshotEvery
 		} else {
@@ -428,8 +365,12 @@ func (fb *FileBackend) mutateBatch(recs []walRecord, durable bool) error {
 	fb.mu.Unlock()
 
 	if durable {
-		// Same contract as mutate: a failed group commit NACKs the whole
-		// burst and fail-stops the backend.
+		// If a compaction just retired w, its Close already made every
+		// record durable and WaitDurable returns immediately. A wait
+		// failure means the group commit's fsync failed: the burst was
+		// applied to memory but its durability is unknown, so NACK it and
+		// fail-stop — the poisoned writer guarantees it is never acked
+		// later either.
 		if err := w.WaitDurable(seq); err != nil {
 			fb.failStop(err)
 			return fb.degradedError()
@@ -600,7 +541,7 @@ func (fb *FileBackend) PutVideo(rec VideoRecord) error {
 	if rec.ID == "" {
 		return fmt.Errorf("platform: video record needs an ID")
 	}
-	return fb.mutate(walRecord{Op: opPutVideo, Video: vs, chatLog: rec.Chat}, false)
+	return fb.mutate(false, walRecord{Op: opPutVideo, Video: vs, chatLog: rec.Chat})
 }
 
 func (fb *FileBackend) Video(id string) (VideoRecord, bool) { return fb.mem.Video(id) }
@@ -616,22 +557,22 @@ func (fb *FileBackend) HighlightView(id string) (HighlightView, bool) {
 func (fb *FileBackend) VideoIDs() []string { return fb.mem.VideoIDs() }
 
 func (fb *FileBackend) SetRedDots(id string, dots []core.RedDot) error {
-	return fb.mutate(walRecord{Op: opSetDots, ID: id, Dots: dots}, false)
+	return fb.mutate(false, walRecord{Op: opSetDots, ID: id, Dots: dots})
 }
 
 func (fb *FileBackend) SetBoundaries(id string, spans []core.Interval) error {
-	return fb.mutate(walRecord{Op: opSetBoundaries, ID: id, Spans: spans}, false)
+	return fb.mutate(false, walRecord{Op: opSetBoundaries, ID: id, Spans: spans})
 }
 
 func (fb *FileBackend) SetRefined(id string, dots []core.RedDot, spans []core.Interval) error {
-	return fb.mutate(walRecord{Op: opSetRefined, ID: id, Dots: dots, Spans: spans}, false)
+	return fb.mutate(false, walRecord{Op: opSetRefined, ID: id, Dots: dots, Spans: spans})
 }
 
 // AppendEvents is durable: the interaction events the browser extension
 // reports are the crowd signal everything downstream refines from, so they
 // are acknowledged only once fsynced.
 func (fb *FileBackend) AppendEvents(id string, events []play.Event) error {
-	return fb.mutate(walRecord{Op: opAppendEvents, ID: id, Events: events}, true)
+	return fb.mutate(true, walRecord{Op: opAppendEvents, ID: id, Events: events})
 }
 
 // AppendEventsBatch is the durable burst path: the whole multi-video batch
@@ -642,7 +583,7 @@ func (fb *FileBackend) AppendEventsBatch(batch []EventBatch) error {
 	for i, eb := range batch {
 		recs[i] = walRecord{Op: opAppendEvents, ID: eb.VideoID, Events: eb.Events}
 	}
-	return fb.mutateBatch(recs, true)
+	return fb.mutate(true, recs...)
 }
 
 func (fb *FileBackend) ScanEvents(id string, offset, limit int) ([]play.Event, int) {
@@ -655,7 +596,7 @@ func (fb *FileBackend) PutCheckpoint(channel string, state []byte) error {
 	if channel == "" {
 		return fmt.Errorf("platform: checkpoint needs a channel id")
 	}
-	return fb.mutate(walRecord{Op: opPutCkpt, Channel: channel, State: state}, true)
+	return fb.mutate(true, walRecord{Op: opPutCkpt, Channel: channel, State: state})
 }
 
 func (fb *FileBackend) Checkpoints() map[string][]byte { return fb.mem.Checkpoints() }
@@ -664,5 +605,5 @@ func (fb *FileBackend) DeleteCheckpoint(channel string) error {
 	if channel == "" {
 		return fmt.Errorf("platform: checkpoint needs a channel id")
 	}
-	return fb.mutate(walRecord{Op: opDelCkpt, Channel: channel}, true)
+	return fb.mutate(true, walRecord{Op: opDelCkpt, Channel: channel})
 }

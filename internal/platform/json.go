@@ -3,6 +3,8 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -95,6 +97,14 @@ type arrayIngest[T any] struct {
 // maxPooledBody caps the body buffer retained in the pool.
 const maxPooledBody = 1 << 20
 
+// maxIngestBody caps a write endpoint's request body: the owner refuses
+// what a forwarding node would refuse, with the same 413, so one hostile
+// POST cannot grow the process until it dies.
+const maxIngestBody = maxForwardBody
+
+// errBodyTooLarge reports a request body over maxIngestBody.
+var errBodyTooLarge = errors.New("request body too large")
+
 // chatIngestPool serves POST /api/live/chat, eventIngestPool
 // POST /api/interactions.
 var (
@@ -109,11 +119,11 @@ var (
 // decode reads the whole body and parses it as a JSON array of T, fast
 // being T's array parser. Matching the endpoints' historical json.Decoder
 // semantics, only the first JSON value is read — trailing bytes after the
-// array are ignored. The returned slice is pooled — valid only until
-// release.
+// array are ignored. A body over maxIngestBody is errBodyTooLarge. The
+// returned slice is pooled — valid only until release.
 func (in *arrayIngest[T]) decode(body io.Reader, fast func(dst []T, body []byte) ([]T, int, bool)) ([]T, error) {
 	var err error
-	in.buf, err = readAllInto(in.buf[:0], body)
+	in.buf, err = readAllInto(in.buf[:0], body, maxIngestBody)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +146,8 @@ func (in *arrayIngest[T]) decode(body io.Reader, fast func(dst []T, body []byte)
 }
 
 // release recycles the request state into pool, zeroing the decoded
-// elements so the pool never pins a request's strings.
+// elements so the pool never pins a request's strings. Outsized buffers
+// (an over-limit body's included) are left to the GC.
 func (in *arrayIngest[T]) release(pool *sync.Pool) {
 	clear(in.elems)
 	in.elems = in.elems[:0]
@@ -145,14 +156,19 @@ func (in *arrayIngest[T]) release(pool *sync.Pool) {
 	}
 }
 
-// readAllInto is io.ReadAll into a reused buffer.
-func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
+// readAllInto is io.ReadAll into a reused buffer, refusing a body longer
+// than limit with errBodyTooLarge after reading one byte past it — enough
+// to tell an oversized body from one of exactly limit bytes.
+func readAllInto(buf []byte, r io.Reader, limit int) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
+		n, err := r.Read(buf[len(buf):min(cap(buf), limit+1)])
 		buf = buf[:len(buf)+n]
+		if len(buf) > limit {
+			return buf, errBodyTooLarge
+		}
 		if err == io.EOF {
 			return buf, nil
 		}
@@ -160,4 +176,15 @@ func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
 			return buf, err
 		}
 	}
+}
+
+// ingestBodyError answers a failed arrayIngest.decode: 413 for a body over
+// maxIngestBody, 400 for anything unparseable.
+func ingestBodyError(w http.ResponseWriter, what string, err error) {
+	if errors.Is(err, errBodyTooLarge) {
+		http.Error(w, fmt.Sprintf("%s: body exceeds the %d-byte limit", what, maxIngestBody),
+			http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, fmt.Sprintf("%s: %v", what, err), http.StatusBadRequest)
 }

@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -247,4 +248,65 @@ func TestChatIngestPoolCycle(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestIngestBodyLimit: the two public write endpoints refuse a body one
+// byte over maxIngestBody with 413 and ingest nothing — the owner-side twin
+// of TestClusterForwardBodyTooLarge — while a body of exactly the limit is
+// still parsed.
+func TestIngestBodyLimit(t *testing.T) {
+	init, target := trainedInitializer(t)
+	store := NewStore()
+	if err := store.PutVideo(VideoRecord{ID: target.Video.ID, Duration: target.Video.Duration, Chat: target.Chat.Log}); err != nil {
+		t.Fatal(err)
+	}
+	svc := &Service{Store: store, Engine: testEngine(t, init)}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	const channel = "big-chan"
+	cases := []struct {
+		name, path, elem string
+		wantOK           int
+		ingested         func() int
+	}{
+		{"live chat", "/api/live/chat?channel=" + channel, `{"time":1,"user":"u","text":"gg"}`, http.StatusAccepted,
+			func() int {
+				if _, ok := svc.Engine.Sessions().Get(channel); ok {
+					return 1
+				}
+				return 0
+			}},
+		{"interactions", "/api/interactions?video=" + target.Video.ID, `{"user":"u","seq":1,"type":2,"pos":10}`, http.StatusNoContent,
+			func() int { return len(store.Events(target.Video.ID)) }},
+	}
+	for _, tc := range cases {
+		// One element, then whitespace: body[:maxIngestBody] is a complete
+		// array of exactly the limit, the full slice is one byte over.
+		body := bytes.Repeat([]byte(" "), maxIngestBody+1)
+		copy(body, "["+tc.elem)
+		body[maxIngestBody-1] = ']'
+
+		post := func(b []byte) int {
+			t.Helper()
+			resp, err := http.Post(srv.URL+tc.path, "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+		if got := post(body); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: body of limit+1 = %d, want 413", tc.name, got)
+		}
+		if n := tc.ingested(); n != 0 {
+			t.Errorf("%s: an oversized body was ingested (%d)", tc.name, n)
+		}
+		if got := post(body[:maxIngestBody]); got != tc.wantOK {
+			t.Errorf("%s: body of exactly the limit = %d, want %d", tc.name, got, tc.wantOK)
+		}
+		if n := tc.ingested(); n != 1 {
+			t.Errorf("%s: a body of exactly the limit ingested %d, want 1", tc.name, n)
+		}
+	}
 }

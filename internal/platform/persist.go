@@ -11,9 +11,10 @@ import (
 	"lightor/internal/wal"
 )
 
-// storeSnapshot is the JSON form of a Store: everything needed to restart
-// the service without re-crawling or re-collecting interactions, including
-// live-session checkpoints so broadcasts resume mid-stream.
+// storeSnapshot is the JSON payload of FileBackend's store.snap: everything
+// needed to restart the service without re-crawling or re-collecting
+// interactions, including live-session checkpoints so broadcasts resume
+// mid-stream.
 type storeSnapshot struct {
 	Version int                     `json:"version"`
 	Videos  []videoSnapshot         `json:"videos"`
@@ -132,27 +133,4 @@ func readSnapshot(r io.Reader) (storeSnapshot, error) {
 		return snap, fmt.Errorf("platform: unsupported store version %d", snap.Version)
 	}
 	return snap, nil
-}
-
-// Save writes the full store state as a checksummed envelope around a JSON
-// payload. Each video is copied under its own lock, so a snapshot is
-// per-video (not cross-video) consistent — the same guarantee serving
-// reads get.
-func (s *Store) Save(w io.Writer) error {
-	return writeSnapshot(w, snapshotBackend(s.b))
-}
-
-// LoadStore reads a snapshot written by Save into a fresh in-memory Store,
-// validating the envelope's version, length, and CRC32 first: corrupt or
-// truncated snapshots are rejected whole rather than half-loaded.
-func LoadStore(r io.Reader) (*Store, error) {
-	snap, err := readSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	s := NewStore()
-	if err := applySnapshot(snap, s.b); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

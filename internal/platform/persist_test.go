@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +11,34 @@ import (
 	"lightor/internal/chat"
 	"lightor/internal/core"
 	"lightor/internal/play"
+	"lightor/internal/wal"
 )
+
+// saveSnapshot serializes a store the way FileBackend's compaction writes
+// store.snap.
+func saveSnapshot(t testing.TB, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, snapshotBackend(s.b)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadSnapshot decodes a store.snap image into a fresh in-memory store the
+// way OpenFileBackend does: envelope and payload validated first, then
+// applied.
+func loadSnapshot(r io.Reader) (*Store, error) {
+	snap, err := readSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	s := NewStore()
+	if err := applySnapshot(snap, s.b); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	s := NewStore()
@@ -34,11 +62,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadStore(&buf)
+	loaded, err := loadSnapshot(bytes.NewReader(saveSnapshot(t, s)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,21 +86,21 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadStoreRejectsGarbage(t *testing.T) {
-	if _, err := LoadStore(strings.NewReader("nope")); err == nil {
+func TestReadSnapshotRejectsGarbage(t *testing.T) {
+	if _, err := loadSnapshot(strings.NewReader("nope")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := LoadStore(strings.NewReader(`{"version": 99}`)); err == nil {
+	if _, err := loadSnapshot(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("bare v1-style JSON accepted")
 	}
-	if _, err := LoadStore(strings.NewReader(
+	if _, err := loadSnapshot(strings.NewReader(
 		`{"format":"lightor-store","version":99,"length":2,"crc32":0}` + "\n{}")); err == nil {
 		t.Error("future version accepted")
 	}
 }
 
 // savedStore builds a small store and returns its serialized snapshot.
-func savedStore(t *testing.T) []byte {
+func savedStore(t testing.TB) []byte {
 	t.Helper()
 	s := NewStore()
 	if err := s.PutVideo(VideoRecord{
@@ -93,36 +117,32 @@ func savedStore(t *testing.T) []byte {
 	if err := s.PutCheckpoint("chan-1", []byte{0x01, 0x02, 0xfe}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return saveSnapshot(t, s)
 }
 
-// TestLoadStoreRejectsTruncation: every truncated prefix of a valid
+// TestReadSnapshotRejectsTruncation: every truncated prefix of a valid
 // snapshot must fail — the envelope's declared length catches cuts the
 // JSON decoder would otherwise accept as a shorter valid document.
-func TestLoadStoreRejectsTruncation(t *testing.T) {
+func TestReadSnapshotRejectsTruncation(t *testing.T) {
 	full := savedStore(t)
-	if _, err := LoadStore(bytes.NewReader(full)); err != nil {
+	if _, err := loadSnapshot(bytes.NewReader(full)); err != nil {
 		t.Fatalf("full snapshot rejected: %v", err)
 	}
 	for cut := 0; cut < len(full); cut += 11 {
-		if _, err := LoadStore(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := loadSnapshot(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
 }
 
-// TestLoadStoreRejectsCorruption: a flipped bit anywhere in the payload
+// TestReadSnapshotRejectsCorruption: a flipped bit anywhere in the payload
 // must trip the envelope CRC.
-func TestLoadStoreRejectsCorruption(t *testing.T) {
+func TestReadSnapshotRejectsCorruption(t *testing.T) {
 	full := savedStore(t)
 	for pos := bytes.IndexByte(full, '\n') + 1; pos < len(full); pos += 19 {
 		bad := append([]byte(nil), full...)
 		bad[pos] ^= 0x20
-		if _, err := LoadStore(bytes.NewReader(bad)); err == nil {
+		if _, err := loadSnapshot(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("corruption at byte %d accepted", pos)
 		}
 	}
@@ -131,7 +151,7 @@ func TestLoadStoreRejectsCorruption(t *testing.T) {
 // TestSaveLoadKeepsCheckpoints: session checkpoints ride the snapshot so a
 // restore can resume live broadcasts.
 func TestSaveLoadKeepsCheckpoints(t *testing.T) {
-	loaded, err := LoadStore(bytes.NewReader(savedStore(t)))
+	loaded, err := loadSnapshot(bytes.NewReader(savedStore(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +159,37 @@ func TestSaveLoadKeepsCheckpoints(t *testing.T) {
 	if got := ckpts["chan-1"]; !bytes.Equal(got, []byte{0x01, 0x02, 0xfe}) {
 		t.Errorf("checkpoint round trip = %v", got)
 	}
+}
+
+// FuzzStoreSnapshot drives store.snap's payload path — readSnapshot's JSON
+// decode and applySnapshot — with hostile payloads inside a VALID envelope
+// (the CRC would otherwise stop random bytes at the door). It must never
+// panic, and whatever it accepts must re-snapshot to an image that loads
+// back to an equal store.
+func FuzzStoreSnapshot(f *testing.F) {
+	full := savedStore(f)
+	f.Add(full[bytes.IndexByte(full, '\n')+1:])
+	f.Add([]byte(`{"version":2,"videos":[{"id":"v","duration":1,"chat":[]}],"events":{"v":[]},"checkpoints":{"c":""}}`))
+	f.Add([]byte(`{"version":2,"videos":[{"id":"","duration":1,"chat":null}]}`))
+	f.Add([]byte(`{"version":2,"videos":null,"events":{"ghost":[{"user":"u"}]}}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var env bytes.Buffer
+		if err := wal.WriteEnvelope(&env, storeFormat, storeVersion, payload); err != nil {
+			t.Skip() // payload over the envelope's size limit
+		}
+		first, err := loadSnapshot(&env)
+		if err != nil {
+			return
+		}
+		image := saveSnapshot(t, first)
+		second, err := loadSnapshot(bytes.NewReader(image))
+		if err != nil {
+			t.Fatalf("re-snapshot of an accepted payload rejected: %v\npayload %q", err, payload)
+		}
+		if again := saveSnapshot(t, second); !bytes.Equal(again, image) {
+			t.Fatalf("accepted payload does not round-trip to an equal store:\nfirst  %s\nsecond %s", image, again)
+		}
+	})
 }
 
 func TestServiceOnDemandCrawl(t *testing.T) {

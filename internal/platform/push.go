@@ -125,8 +125,7 @@ type channelHub struct {
 
 // DotsPublished implements engine.DotListener: encode the delta since the
 // channel's broadcast tip once, fan the frame out. Channels nobody
-// subscribes to (including the engine's internal replay sessions) cost
-// one map lookup and nothing else.
+// subscribes to cost one map lookup and nothing else.
 func (h *dotHub) DotsPublished(sess *engine.Session) {
 	h.mu.Lock()
 	ch := h.chans[sess.Channel()]

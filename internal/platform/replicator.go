@@ -2,10 +2,8 @@ package platform
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
@@ -324,8 +322,8 @@ func (rep *Replicator) reconcile() {
 }
 
 // fetchOwned retrieves a peer's extended owned/replica watermark report —
-// single attempt under the cluster call timeout (the reconciler's cadence
-// is the retry loop), breaker-accounted like every peer call.
+// a single clusterDoOnce attempt (the reconciler's cadence is the retry
+// loop), breaker-accounted like every peer call.
 func (rep *Replicator) fetchOwned(peer string) (OwnedResponse, error) {
 	c := rep.svc.Cluster
 	addr, ok := c.Addr(peer)
@@ -336,35 +334,10 @@ func (rep *Replicator) fetchOwned(peer string) (OwnedResponse, error) {
 	if !br.Allow() {
 		return OwnedResponse{}, fmt.Errorf("peer %s circuit breaker %s", peer, br.State())
 	}
-	if fault.Enabled() {
-		if err := fault.Hit(cluster.FailpointControl); err != nil {
-			br.Failure()
-			return OwnedResponse{}, err
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.Timeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/api/cluster/owned", nil)
-	if err != nil {
-		return OwnedResponse{}, err
-	}
-	if c.Secret != "" {
-		req.Header.Set(ClusterKeyHeader, c.Secret)
-	}
-	resp, err := c.Client().Do(req)
-	if err != nil {
-		br.Failure()
-		return OwnedResponse{}, err
-	}
-	br.Success()
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return OwnedResponse{}, fmt.Errorf("owned probe of %s: %s: %s", peer, resp.Status, msg)
-	}
 	var out OwnedResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return OwnedResponse{}, err
+	if err := rep.svc.clusterDoOnce(context.Background(), http.MethodGet,
+		"http://"+addr+"/api/cluster/owned", nil, br, &out); err != nil {
+		return OwnedResponse{}, fmt.Errorf("owned probe of %s: %w", peer, err)
 	}
 	return out, nil
 }

@@ -99,11 +99,6 @@ type Service struct {
 	// flash-crowded channel can fall behind without touching cold
 	// channels.
 	MaxChannelBacklog int
-	// DisableAdmission turns off both admission budgets (requests are
-	// never shed; queues grow without bound under overload). Mirrors
-	// DisableReadCache: the knob exists for the differential benchmarks
-	// that measure what admission control buys.
-	DisableAdmission bool
 
 	// Read-path response caches: pre-encoded bodies keyed by
 	// (channel, cursor, dot-snapshot version) for /api/live/dots and
@@ -423,7 +418,7 @@ func (s *Service) handleInteractions(w http.ResponseWriter, r *http.Request) {
 	events, err := in.decode(r.Body, play.AppendEventsJSON)
 	if err != nil {
 		in.release(&eventIngestPool)
-		http.Error(w, fmt.Sprintf("bad interaction payload: %v", err), http.StatusBadRequest)
+		ingestBodyError(w, "bad interaction payload", err)
 		return
 	}
 	// The store copies (and, when durable, marshals) the events before
@@ -659,7 +654,7 @@ func (s *Service) handleLiveChat(w http.ResponseWriter, r *http.Request) {
 	msgs, err := ci.decode(r.Body, chat.AppendMessagesJSON)
 	if err != nil {
 		ci.release(&chatIngestPool)
-		http.Error(w, fmt.Sprintf("bad chat payload: %v", err), http.StatusBadRequest)
+		ingestBodyError(w, "bad chat payload", err)
 		return
 	}
 	sess, err := s.Engine.Sessions().GetOrOpen(channel)

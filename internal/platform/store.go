@@ -81,9 +81,6 @@ func (s *Store) Degraded() (bool, string) {
 	return s.deg.Degraded()
 }
 
-// Backend exposes the underlying storage backend.
-func (s *Store) Backend() Backend { return s.b }
-
 // Close releases the backend (flushes and fsyncs a durable backend).
 func (s *Store) Close() error { return s.b.Close() }
 

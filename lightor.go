@@ -24,13 +24,13 @@
 //
 // # Streaming
 //
-// Streaming is the primary code path: OnlineSession consumes live chat
-// message by message and emits red dots while the broadcast is still
-// running, and the internal session engine multiplexes many such sessions
-// over a worker pool for platform deployments (see cmd/lightor-server's
-// /api/live endpoints). Batch extraction is replay over the same engine:
-// ExtractHighlights streams the recorded log through a session and then
-// refines every red dot in parallel, so refining k dots costs roughly one
+// OnlineSession consumes live chat message by message and emits red dots
+// while the broadcast is still running, and the internal session engine
+// multiplexes many such sessions over a worker pool for platform
+// deployments (see cmd/lightor-server's /api/live endpoints). Batch
+// extraction of a recorded video uses the same engine's refine queue:
+// ExtractHighlights detects the red dots over the whole log and then
+// refines every dot in parallel, so refining k dots costs roughly one
 // dot's latency instead of k.
 //
 // See examples/ for end-to-end programs, including the full crowd
@@ -249,14 +249,14 @@ func (d *Detector) RefineHighlight(dot RedDot, source InteractionSource) Highlig
 }
 
 // ExtractHighlights runs the full pipeline: red dots from chat, then
-// iterative boundary refinement against the interaction source. It routes
-// through the concurrent session engine — the recorded log replays through
-// a streaming session and the k red dots refine in parallel — while
-// keeping the exact output (dots, order, and boundaries) of the original
-// serial workflow. Calls into source never overlap (it need not be safe
-// for concurrent use), but the parallel fan-out interleaves them across
-// dots in unspecified order; a stateful source sees a different call
-// sequence than the old serial loop did.
+// iterative boundary refinement against the interaction source. Detection
+// runs on the caller's goroutine and the k red dots then refine in
+// parallel on the engine's refine queue; the output (dots, order, and
+// boundaries) is element for element what DetectRedDots followed by
+// RefineHighlight per dot returns. Calls into source never overlap (it need
+// not be safe for concurrent use), but the parallel fan-out interleaves
+// them across dots in unspecified order; a stateful source sees a
+// different call sequence than a serial loop would give it.
 func (d *Detector) ExtractHighlights(messages []Message, duration float64, k int, source InteractionSource) ([]Highlight, error) {
 	eng, err := d.engine()
 	if err != nil {

@@ -2,6 +2,7 @@ package lightor_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,7 +77,27 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			t.Errorf("degenerate boundary %v", h.Boundary)
 		}
 	}
+
+	// With a stateless source the parallel pipeline is element for element
+	// the two public calls it is made of, run serially.
+	fixed := fixedPlays(src.Interactions(dots[0].Time))
+	got, err := det.ExtractHighlights(target.Chat.Log.Messages(), target.Video.Duration, 5, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []lightor.Highlight
+	for _, dot := range dots {
+		want = append(want, det.RefineHighlight(dot, fixed))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ExtractHighlights diverged from DetectRedDots + RefineHighlight per dot:\n got %+v\nwant %+v", got, want)
+	}
 }
+
+// fixedPlays returns the same plays for any dot.
+type fixedPlays []lightor.Play
+
+func (p fixedPlays) Interactions(float64) []lightor.Play { return p }
 
 // TestOptionsValidation covers the PR-2 satellite: out-of-range options
 // must be rejected by New with a clear error instead of silently producing
