@@ -50,50 +50,3 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
-
-func TestCSVRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sampleLog()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleLog()
-	if got.Len() != want.Len() {
-		t.Fatalf("len = %d, want %d", got.Len(), want.Len())
-	}
-	for i := 0; i < got.Len(); i++ {
-		if got.At(i) != want.At(i) {
-			t.Errorf("message %d = %+v, want %+v", i, got.At(i), want.At(i))
-		}
-	}
-}
-
-func TestCSVHandlesCommasAndQuotes(t *testing.T) {
-	l := NewLog([]Message{{Time: 1, User: "a", Text: `he said "gg", twice`}})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.At(0).Text != `he said "gg", twice` {
-		t.Errorf("text = %q", got.At(0).Text)
-	}
-}
-
-func TestReadCSVRejectsBadHeader(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("a,b,c\n")); err == nil {
-		t.Error("bad header accepted")
-	}
-}
-
-func TestReadCSVRejectsBadTimestamp(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("time,user,text\nnan?,u,x\n")); err == nil {
-		t.Error("bad timestamp accepted")
-	}
-}

@@ -39,31 +39,6 @@ func FuzzReadJSONL(f *testing.F) {
 	})
 }
 
-func FuzzReadCSV(f *testing.F) {
-	f.Add("time,user,text\n1,a,hello\n")
-	f.Add("time,user,text\n1,a,\"he said \"\"gg\"\"\"\n")
-	f.Add("a,b,c\n")
-	f.Add("time,user,text\nnan?,u,x\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, data string) {
-		log, err := ReadCSV(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, log); err != nil {
-			t.Fatalf("accepted log failed to re-encode: %v", err)
-		}
-		again, err := ReadCSV(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded log failed to parse: %v", err)
-		}
-		if again.Len() != log.Len() {
-			t.Fatalf("round trip changed length: %d -> %d", log.Len(), again.Len())
-		}
-	})
-}
-
 func FuzzReadIRCText(f *testing.F) {
 	f.Add("[0:01:23] <someuser> first blood!\n")
 	f.Add("[1:02:03.450] <other_user> what a play\n")

@@ -84,14 +84,3 @@ func ParseClock(s string) (float64, error) {
 	}
 	return total, nil
 }
-
-// FormatClock renders seconds as h:mm:ss for human-facing output.
-func FormatClock(seconds float64) string {
-	if seconds < 0 {
-		seconds = 0
-	}
-	h := int(seconds) / 3600
-	m := (int(seconds) % 3600) / 60
-	sec := seconds - float64(h*3600+m*60)
-	return fmt.Sprintf("%d:%02d:%05.2f", h, m, sec)
-}

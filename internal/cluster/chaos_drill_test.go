@@ -209,19 +209,34 @@ func TestClusterChaosDrill(t *testing.T) {
 	// nodes so forwards cross the faulty links. pos tracks how far each
 	// channel's producer actually got an ack; a channel whose owner
 	// degrades mid-phase stops there.
+	//
+	// The broadcasts run side by side, one batch per channel per round, as
+	// live channels do. The victim's disk budget drains with wall-clock
+	// checkpoint ticks, so feeding channels one after another would let a
+	// slow machine spend it before the victim's later channels had a
+	// session at all; in lockstep every channel has one, and a checkpoint
+	// one tick later, from the first round on.
 	pos := make(map[string]int, numChannels)
 	cut := make(map[string]int, numChannels)
-	rr := 0
 	for _, ch := range channels {
-		msgs := streams[ch]
-		c := (len(msgs) * 6 / 10 / batch) * batch
-		cut[ch] = c
-		for i := 0; i < c; i += batch {
-			res := chaosIngest(t, nodes[ids[rr%len(ids)]].base, ch, msgs[i:min(i+batch, c)])
+		cut[ch] = (len(streams[ch]) * 6 / 10 / batch) * batch
+	}
+	stopped := make(map[string]bool, numChannels)
+	rr := 0
+	for i, more := 0, true; more; i += batch {
+		more = false
+		for _, ch := range channels {
+			c := cut[ch]
+			if stopped[ch] || i >= c {
+				continue
+			}
+			more = true
+			res := chaosIngest(t, nodes[ids[rr%len(ids)]].base, ch, streams[ch][i:min(i+batch, c)])
 			rr++
 			if res == chaosDegraded {
 				t.Logf("channel %s: owner degraded at position %d/%d", ch, i, c)
-				break
+				stopped[ch] = true
+				continue
 			}
 			pos[ch] = min(i+batch, c)
 		}

@@ -380,27 +380,6 @@ func (n *Node) AbortMove(key string) {
 // Moving reports whether a key is currently fenced mid-handoff.
 func (n *Node) Moving(key string) bool { return n.state.Load().moving[key] }
 
-// Overrides returns a copy of the current channel→owner pins.
-func (n *Node) Overrides() map[string]string {
-	st := n.state.Load()
-	out := make(map[string]string, len(st.overrides))
-	for k, v := range st.overrides {
-		out[k] = v
-	}
-	return out
-}
-
-// OwnedKeys filters keys down to those this node effectively owns.
-func (n *Node) OwnedKeys(keys []string) []string {
-	var out []string
-	for _, k := range keys {
-		if n.OwnsLocally(k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // callTimeout returns the per-attempt deadline for node-to-node calls.
 func (n *Node) callTimeout() time.Duration {
 	if n.CallTimeout > 0 {

@@ -5,6 +5,7 @@ package core_test
 // regardless of what the data looks like.
 
 import (
+	"slices"
 	"testing"
 
 	"lightor/internal/core"
@@ -119,5 +120,39 @@ func TestStepDeterministic(t *testing.T) {
 	b := ext.Step(seed, plays)
 	if a != b {
 		t.Errorf("Step not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestDetectPrefixClosed: Detect picks windows greedily in score order and
+// k only ends the loop, so asking for k dots returns exactly the first k of
+// an unbounded detection. The server relies on this to extend stored
+// (possibly refined) dots when a larger k is asked for.
+func TestDetectPrefixClosed(t *testing.T) {
+	for _, profile := range []sim.Profile{sim.Dota2Profile(), sim.LoLProfile()} {
+		for seed := int64(700); seed < 703; seed++ {
+			rng := stats.NewRand(seed)
+			data := sim.GenerateDataset(rng, profile, 2)
+			init := mustNewInitializer(t, core.DefaultInitializerConfig())
+			if err := init.Train(trainingVideos(t, init, data[:1])); err != nil {
+				t.Fatalf("%s seed %d: %v", profile.Game, seed, err)
+			}
+			log, duration := data[1].Chat.Log, data[1].Video.Duration
+			all, err := init.Detect(log, duration, 1<<20)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", profile.Game, seed, err)
+			}
+			if len(all) < 2 {
+				t.Fatalf("%s seed %d: %d dots, too few to test a prefix", profile.Game, seed, len(all))
+			}
+			for k := 1; k <= len(all); k++ {
+				dots, err := init.Detect(log, duration, k)
+				if err != nil {
+					t.Fatalf("%s seed %d k=%d: %v", profile.Game, seed, k, err)
+				}
+				if !slices.Equal(dots, all[:k]) {
+					t.Fatalf("%s seed %d: Detect(k=%d) = %+v, want the first %d of %+v", profile.Game, seed, k, dots, k, all)
+				}
+			}
+		}
 	}
 }

@@ -48,9 +48,8 @@ type refineJob struct {
 // RefineQueue turns Extractor.Refine into background jobs. Each job fans
 // out one refinement goroutine per red dot — the per-dot loops are
 // independent (a dot's refinement reads the interaction source, never
-// another dot's state), which is exactly the parallelism the serial
-// Workflow.Run left on the table. A global semaphore bounds concurrent
-// refinements across all jobs.
+// another dot's state), so they run in parallel. A global semaphore bounds
+// concurrent refinements across all jobs.
 type RefineQueue struct {
 	ext       *core.Extractor
 	sem       chan struct{}

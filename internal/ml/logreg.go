@@ -126,40 +126,3 @@ func (m *LogisticRegression) PredictProbaInto(X [][]float64, dst []float64) ([]f
 	}
 	return dst[:len(X)], nil
 }
-
-// Predict returns the hard 0/1 label at the 0.5 threshold.
-func (m *LogisticRegression) Predict(row []float64) (int, error) {
-	p, err := m.PredictProba(row)
-	if err != nil {
-		return 0, err
-	}
-	if p >= 0.5 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// Loss returns the L2-regularized mean cross-entropy of the model on (X, y).
-// Exposed for tests and training diagnostics.
-func (m *LogisticRegression) Loss(X [][]float64, y []int) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	var loss float64
-	for i, row := range X {
-		p := m.probability(row)
-		// Clamp to avoid log(0) on saturated predictions.
-		p = math.Min(math.Max(p, 1e-12), 1-1e-12)
-		if y[i] == 1 {
-			loss -= math.Log(p)
-		} else {
-			loss -= math.Log(1 - p)
-		}
-	}
-	loss /= float64(len(X))
-	var reg float64
-	for _, w := range m.Weights {
-		reg += w * w
-	}
-	return loss + 0.5*m.L2*reg
-}

@@ -43,29 +43,18 @@ func TestLogRegSeparableData(t *testing.T) {
 	if err := m.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	cm, err := Evaluate(m, X, y)
+	p, err := m.PredictProbaInto(X, make([]float64, len(X)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm.Accuracy() < 0.95 {
-		t.Errorf("accuracy on separable data = %g, want >= 0.95 (%s)", cm.Accuracy(), cm)
+	correct := 0
+	for i := range p {
+		if (p[i] >= 0.5) == (y[i] == 1) {
+			correct++
+		}
 	}
-}
-
-func TestLogRegLossDecreases(t *testing.T) {
-	X := [][]float64{{0}, {0.2}, {0.8}, {1}}
-	y := []int{0, 0, 1, 1}
-	short := &LogisticRegression{Epochs: 5}
-	long := &LogisticRegression{Epochs: 500}
-	if err := short.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := long.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if long.Loss(X, y) >= short.Loss(X, y) {
-		t.Errorf("more training did not reduce loss: %g >= %g",
-			long.Loss(X, y), short.Loss(X, y))
+	if acc := float64(correct) / float64(len(y)); acc < 0.95 {
+		t.Errorf("accuracy on separable data = %g, want >= 0.95", acc)
 	}
 }
 
@@ -126,60 +115,6 @@ func TestLogRegDeterministic(t *testing.T) {
 	}
 	if a.Bias != b.Bias {
 		t.Fatal("bias differs between identical fits")
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	var cm ConfusionMatrix
-	cm.Observe(1, 1) // TP
-	cm.Observe(1, 0) // FP
-	cm.Observe(0, 0) // TN
-	cm.Observe(0, 1) // FN
-	if cm.TP != 1 || cm.FP != 1 || cm.TN != 1 || cm.FN != 1 {
-		t.Fatalf("tallies wrong: %+v", cm)
-	}
-	if cm.Accuracy() != 0.5 {
-		t.Errorf("Accuracy = %g, want 0.5", cm.Accuracy())
-	}
-	if cm.Precision() != 0.5 {
-		t.Errorf("Precision = %g, want 0.5", cm.Precision())
-	}
-	if cm.Recall() != 0.5 {
-		t.Errorf("Recall = %g, want 0.5", cm.Recall())
-	}
-	if cm.F1() != 0.5 {
-		t.Errorf("F1 = %g, want 0.5", cm.F1())
-	}
-}
-
-func TestConfusionMatrixZeroDivision(t *testing.T) {
-	var cm ConfusionMatrix
-	if cm.Accuracy() != 0 || cm.Precision() != 0 || cm.Recall() != 0 || cm.F1() != 0 {
-		t.Error("empty matrix should report zeros, not NaN")
-	}
-}
-
-func TestMaximizeIntReward(t *testing.T) {
-	// Peak at 25 — like the reaction-delay constant.
-	best, r := MaximizeIntReward(0, 60, func(c int) float64 {
-		return -math.Abs(float64(c) - 25)
-	})
-	if best != 25 || r != 0 {
-		t.Errorf("best = %d (reward %g), want 25 (0)", best, r)
-	}
-}
-
-func TestMaximizeIntRewardTieBreaksLow(t *testing.T) {
-	best, _ := MaximizeIntReward(0, 10, func(c int) float64 { return 1 })
-	if best != 0 {
-		t.Errorf("tie should break to lowest: got %d", best)
-	}
-}
-
-func TestMaximizeIntRewardInvertedRange(t *testing.T) {
-	best, _ := MaximizeIntReward(10, 0, func(c int) float64 { return float64(c) })
-	if best != 10 {
-		t.Errorf("inverted range: best = %d, want 10", best)
 	}
 }
 

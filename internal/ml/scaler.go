@@ -96,12 +96,3 @@ func (s *MinMaxScaler) FitTransform(X [][]float64) ([][]float64, error) {
 	}
 	return s.Transform(X)
 }
-
-// TransformRow rescales a single feature vector.
-func (s *MinMaxScaler) TransformRow(row []float64) ([]float64, error) {
-	out, err := s.Transform([][]float64{row})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}

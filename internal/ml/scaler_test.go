@@ -39,19 +39,15 @@ func TestMinMaxScalerClampsOutOfRange(t *testing.T) {
 	if _, err := s.FitTransform([][]float64{{0}, {10}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.TransformRow([]float64{20})
+	out, err := s.Transform([][]float64{{20}, {-5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0] != 1 {
-		t.Errorf("above-range value = %g, want 1", out[0])
+	if out[0][0] != 1 {
+		t.Errorf("above-range value = %g, want 1", out[0][0])
 	}
-	out, err = s.TransformRow([]float64{-5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 0 {
-		t.Errorf("below-range value = %g, want 0", out[0])
+	if out[1][0] != 0 {
+		t.Errorf("below-range value = %g, want 0", out[1][0])
 	}
 }
 

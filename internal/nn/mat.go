@@ -49,24 +49,6 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// MulVec computes out = m · x. len(x) must equal Cols; out is freshly
-// allocated with length Rows.
-func (m *Mat) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("nn: MulVec dim mismatch: %d != %d", len(x), m.Cols))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range x {
-			s += row[j] * v
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // AddColInto adds column j of m into out (out += m[:, j]). This is the
 // sparse fast path for one-hot inputs: Wx·onehot(j) is just column j.
 func (m *Mat) AddColInto(out []float64, j int) {

@@ -37,28 +37,6 @@ func TestMatAtSetRow(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	m := NewMat(2, 3)
-	// [[1 2 3], [4 5 6]]
-	for j := 0; j < 3; j++ {
-		m.Set(0, j, float64(j+1))
-		m.Set(1, j, float64(j+4))
-	}
-	out := m.MulVec([]float64{1, 1, 1})
-	if out[0] != 6 || out[1] != 15 {
-		t.Errorf("MulVec = %v, want [6 15]", out)
-	}
-}
-
-func TestMulVecPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMat(2, 3).MulVec([]float64{1, 2})
-}
-
 func TestAddColInto(t *testing.T) {
 	m := NewMat(2, 3)
 	m.Set(0, 1, 10)
@@ -74,14 +52,12 @@ func TestAddColIntoMatchesOneHotMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := RandMat(rng, 5, 4, 1)
 	for j := 0; j < 4; j++ {
-		onehot := make([]float64, 4)
-		onehot[j] = 1
-		want := m.MulVec(onehot)
 		got := make([]float64, 5)
 		m.AddColInto(got, j)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("col %d row %d: %g != %g", j, i, got[i], want[i])
+		for i := range got {
+			// m · onehot(j) is column j: row i contributes m[i][j]·1 and zeros.
+			if want := m.At(i, j); got[i] != want {
+				t.Fatalf("col %d row %d: %g != %g", j, i, got[i], want)
 			}
 		}
 	}

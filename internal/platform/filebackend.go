@@ -487,20 +487,6 @@ func (fb *FileBackend) writeSnapshotFile(path string, snap storeSnapshot) error 
 	return f.Close()
 }
 
-// Compact forces a snapshot compaction now (the server calls it on
-// graceful shutdown so cold start replays nothing).
-func (fb *FileBackend) Compact() error {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if fb.closed {
-		return fmt.Errorf("platform: file backend is closed")
-	}
-	if fb.degraded.Load() {
-		return fb.degradedError()
-	}
-	return fb.compactLocked()
-}
-
 // Close writes a final snapshot and releases the WAL. A degraded backend
 // skips the snapshot: the memory state may include mutations whose ack
 // failed (applied, then the group commit NACKed), and persisting it would

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -292,9 +293,11 @@ type detectMemo struct {
 // Fewer than k stored dots does not by itself mean detection is owed: the
 // video may have no more to give. Detection therefore runs once per
 // (chat log, k) — asking again for the same or a smaller k is answered
-// from the store — and its result replaces the stored dots only when it
-// found more of them, so dots the Extractor has since refined are never
-// overwritten by the raw detection they came from.
+// from the store — and its result only appends the dots past the stored
+// ones. Detect is prefix-closed (it picks windows greedily in score order
+// and k only ends the loop), so the stored dots are the first ones of any
+// larger detection: they stay as they are, refined or not, and their
+// boundaries stay aligned with them.
 func (s *Service) detectColdStart(id string, k int, view HighlightView) error {
 	key := id + "\x00" + strconv.Itoa(k)
 	s.flightMu.Lock()
@@ -339,7 +342,7 @@ func (s *Service) detectColdStart(id string, k int, view HighlightView) error {
 			// SetRedDots bumps the store revision, so every cached
 			// response for this video is invalidated the moment the
 			// dots land.
-			err = s.Store.SetRedDots(id, dots)
+			err = s.Store.SetRedDots(id, slices.Concat(v.RedDots, dots[len(v.RedDots):]))
 		}
 		if err == nil {
 			s.flightMu.Lock()
@@ -381,11 +384,9 @@ func (s *Service) ServeHighlights(w http.ResponseWriter, video string, k int, if
 		http.Error(w, fmt.Sprintf("unknown video %q", video), http.StatusNotFound)
 		return
 	}
-	dots := view.RedDots
-	if len(dots) > k {
-		dots = dots[:k]
-	}
-	e, err := encodeEntry(HighlightsResponse{VideoID: video, Dots: dots, Boundaries: view.Boundaries},
+	dots := view.RedDots[:min(k, len(view.RedDots))]
+	spans := view.Boundaries[:min(k, len(view.Boundaries))]
+	e, err := encodeEntry(HighlightsResponse{VideoID: video, Dots: dots, Boundaries: spans},
 		highlightsETag(rev, k))
 	if err != nil {
 		log.Printf("platform: encoding highlights response: %v", err)

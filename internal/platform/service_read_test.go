@@ -474,6 +474,72 @@ func TestHighlightsShortVideoKeepsRefinedDots(t *testing.T) {
 	}
 }
 
+// TestHighlightsLargerKKeepsRefinedPrefix is the regression test for the
+// larger-k overwrite: asking for more dots than are stored re-runs Detect,
+// and its result used to replace the refined dots wholesale while their
+// boundaries stayed, now paired with raw dot times. The stored dots must
+// stay and only the new ones be appended; and a smaller k must cut the
+// boundaries along with the dots.
+func TestHighlightsLargerKKeepsRefinedPrefix(t *testing.T) {
+	init, target := trainedInitializer(t)
+	store := NewStore()
+	svc := &Service{Store: store, Engine: testEngine(t, init)}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	raw, err := init.Detect(target.Chat.Log, target.Video.Duration, 3)
+	if err != nil || len(raw) != 3 {
+		t.Fatalf("Detect = %d dots, err %v; the fixture needs 3", len(raw), err)
+	}
+	if err := store.PutVideo(VideoRecord{
+		ID: "vod", Duration: target.Video.Duration, Chat: target.Chat.Log,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	get := func(k int) HighlightsResponse {
+		t.Helper()
+		status, _, body := condGet(t, fmt.Sprintf("%s/api/highlights?video=vod&k=%d", srv.URL, k), "")
+		if status != http.StatusOK {
+			t.Fatalf("GET k=%d = %d: %s", k, status, body)
+		}
+		var hr HighlightsResponse
+		if err := json.Unmarshal(body, &hr); err != nil {
+			t.Fatal(err)
+		}
+		return hr
+	}
+
+	get(2)
+	// A finished refine job over the two stored dots.
+	refined := []core.RedDot{raw[0], raw[1]}
+	spans := make([]core.Interval, len(refined))
+	for i := range refined {
+		refined[i].Time += 7
+		spans[i] = core.Interval{Start: refined[i].Time, End: refined[i].Time + 20}
+	}
+	if err := store.SetRefined("vod", refined, spans); err != nil {
+		t.Fatal(err)
+	}
+
+	if hr := get(1); len(hr.Dots) != 1 || len(hr.Boundaries) != 1 ||
+		hr.Dots[0].Time != refined[0].Time || hr.Boundaries[0] != spans[0] {
+		t.Fatalf("GET k=1 served %+v %+v, want refined dot %v with span %+v", hr.Dots, hr.Boundaries, refined[0].Time, spans[0])
+	}
+	hr := get(3)
+	if len(hr.Dots) != 3 || len(hr.Boundaries) != 2 {
+		t.Fatalf("GET k=3 served %d dots, %d boundaries; want 3 and 2", len(hr.Dots), len(hr.Boundaries))
+	}
+	for i := range refined {
+		if hr.Dots[i].Time != refined[i].Time || hr.Boundaries[i] != spans[i] {
+			t.Fatalf("GET k=3 replaced refined dot %d: served %+v %+v, want time %v span %+v",
+				i, hr.Dots[i], hr.Boundaries[i], refined[i].Time, spans[i])
+		}
+	}
+	if hr.Dots[2] != raw[2] {
+		t.Fatalf("GET k=3 appended %+v, want the third detected dot %+v", hr.Dots[2], raw[2])
+	}
+}
+
 // TestRefineResponsePollStability is the regression test for the
 // refineResponse aliasing bug: adjusting served dot times to the refined
 // boundary starts must never write through to the job's retained dots —

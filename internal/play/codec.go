@@ -44,42 +44,3 @@ func ReadEventsJSONL(r io.Reader) ([]Event, error) {
 	}
 	return events, nil
 }
-
-// WritePlaysJSONL writes sessionized play records as JSON lines.
-func WritePlaysJSONL(w io.Writer, plays []Play) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i, p := range plays {
-		if err := enc.Encode(p); err != nil {
-			return fmt.Errorf("play: encoding play %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadPlaysJSONL parses a JSON-lines play log, validating each record.
-func ReadPlaysJSONL(r io.Reader) ([]Play, error) {
-	var plays []Play
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var p Play
-		if err := json.Unmarshal(raw, &p); err != nil {
-			return nil, fmt.Errorf("play: line %d: %w", line, err)
-		}
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("play: line %d: %w", line, err)
-		}
-		plays = append(plays, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("play: reading plays: %w", err)
-	}
-	return plays, nil
-}

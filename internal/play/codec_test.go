@@ -47,29 +47,3 @@ func TestReadEventsJSONLSkipsBlankLines(t *testing.T) {
 		t.Errorf("len = %d, want 1", len(out))
 	}
 }
-
-func TestPlaysJSONLRoundTrip(t *testing.T) {
-	in := []Play{
-		{User: "a", Start: 1, End: 2},
-		{User: "b", Start: 3.5, End: 10},
-	}
-	var buf bytes.Buffer
-	if err := WritePlaysJSONL(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadPlaysJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
-		t.Errorf("round trip = %v", out)
-	}
-}
-
-func TestReadPlaysJSONLValidates(t *testing.T) {
-	// Inverted span must be rejected at parse time.
-	in := `{"user":"a","start":10,"end":5}` + "\n"
-	if _, err := ReadPlaysJSONL(strings.NewReader(in)); err == nil {
-		t.Error("inverted play accepted")
-	}
-}

@@ -21,9 +21,6 @@ type Play struct {
 // Duration returns the length of the play in seconds.
 func (p Play) Duration() float64 { return p.End - p.Start }
 
-// Covers reports whether the play covers video position x.
-func (p Play) Covers(x float64) bool { return p.Start <= x && x <= p.End }
-
 // Overlaps reports whether two plays share any span. Touching endpoints
 // count as overlap, which is what the extractor's outlier graph wants: two
 // viewers whose plays abut are watching the same thing.

@@ -142,21 +142,6 @@ func ArgMax(xs []float64) int {
 	return best
 }
 
-// ArgMin returns the index of the smallest element of xs, breaking ties in
-// favour of the earliest index. It returns -1 for an empty slice.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Clamp limits x into [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

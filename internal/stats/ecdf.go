@@ -45,9 +45,6 @@ func (e *ECDF) AtLeast(x float64) float64 {
 // Len returns the sample size.
 func (e *ECDF) Len() int { return len(e.sorted) }
 
-// Values returns the sorted sample. The caller must not modify it.
-func (e *ECDF) Values() []float64 { return e.sorted }
-
 // DensityHistogram bins the sample xs into the given range and returns the
 // bin centers and a density estimate (fraction per unit of x) per bin. It is
 // used to reproduce the play-offset density curves of Figure 3.

@@ -57,9 +57,6 @@ func (h *Histogram) Reset(lo, hi float64, bins int) {
 	}
 }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
 // BinWidth returns the width of each bin.
 func (h *Histogram) BinWidth() float64 { return h.width }
 

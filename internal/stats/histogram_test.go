@@ -181,8 +181,8 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	h.Add(5)
 	h.Reset(100, 125, 25)
-	if h.Lo() != 100 || h.Hi() != 125 || h.Bins() != 25 {
-		t.Fatalf("Reset geometry: lo=%g hi=%g bins=%d", h.Lo(), h.Hi(), h.Bins())
+	if h.Lo() != 100 || h.Hi() != 125 || len(h.Counts()) != 25 {
+		t.Fatalf("Reset geometry: lo=%g hi=%g bins=%d", h.Lo(), h.Hi(), len(h.Counts()))
 	}
 	if h.Total() != 0 {
 		t.Fatalf("Reset left %g weight behind", h.Total())

@@ -117,25 +117,6 @@ func (h *LatencyHistogram) Quantile(q float64) time.Duration {
 	return h.Max()
 }
 
-// Merge adds other's observations into h. Other may be recorded into
-// concurrently; the merge then reflects some consistent-enough snapshot.
-func (h *LatencyHistogram) Merge(other *LatencyHistogram) {
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.total.Add(other.total.Load())
-	h.sumNs.Add(other.sumNs.Load())
-	om := other.maxNs.Load()
-	for {
-		cur := h.maxNs.Load()
-		if om <= cur || h.maxNs.CompareAndSwap(cur, om) {
-			return
-		}
-	}
-}
-
 // Reset zeroes the histogram for reuse without reallocating. Not safe
 // against concurrent Record calls — quiesce writers first.
 func (h *LatencyHistogram) Reset() {

@@ -63,6 +63,10 @@ func TestLatencyHistogramQuantiles(t *testing.T) {
 	if mean := h.Mean(); mean < 490*time.Microsecond || mean > 510*time.Microsecond {
 		t.Errorf("Mean = %v, want ~500µs", mean)
 	}
+	h.Reset()
+	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 {
+		t.Error("Reset did not clear histogram")
+	}
 
 	defer func() {
 		if recover() == nil {
@@ -70,37 +74,6 @@ func TestLatencyHistogramQuantiles(t *testing.T) {
 		}
 	}()
 	h.Quantile(0)
-}
-
-func TestLatencyHistogramMergeMatchesSingle(t *testing.T) {
-	var whole, a, b LatencyHistogram
-	r := NewRand(7)
-	for i := 0; i < 5000; i++ {
-		d := time.Duration(r.Int63n(int64(50 * time.Millisecond)))
-		whole.Record(d)
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != whole.Count() {
-		t.Fatalf("merged Count = %d, want %d", a.Count(), whole.Count())
-	}
-	if a.Max() != whole.Max() {
-		t.Errorf("merged Max = %v, want %v", a.Max(), whole.Max())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 1.0} {
-		if got, want := a.Quantile(q), whole.Quantile(q); got != want {
-			t.Errorf("merged Quantile(%g) = %v, want %v", q, got, want)
-		}
-	}
-
-	a.Reset()
-	if a.Count() != 0 || a.Max() != 0 || a.Quantile(0.99) != 0 {
-		t.Error("Reset did not clear histogram")
-	}
 }
 
 func TestLatencyRecordZeroAlloc(t *testing.T) {

@@ -88,27 +88,3 @@ func Choice[T any](rng *rand.Rand, xs []T) T {
 	}
 	return xs[rng.Intn(len(xs))]
 }
-
-// WeightedChoice returns an index in [0, len(weights)) sampled proportionally
-// to the non-negative weights. It panics if all weights are zero or any is
-// negative.
-func WeightedChoice(rng *rand.Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("stats: WeightedChoice weight must be non-negative")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("stats: WeightedChoice requires a positive total weight")
-	}
-	r := rng.Float64() * total
-	for i, w := range weights {
-		r -= w
-		if r < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -166,33 +166,3 @@ func TestChoicePanicsOnEmpty(t *testing.T) {
 	}()
 	Choice(NewRand(1), []int{})
 }
-
-func TestWeightedChoice(t *testing.T) {
-	rng := NewRand(10)
-	weights := []float64{0, 1, 3}
-	counts := make([]int, 3)
-	n := 40000
-	for i := 0; i < n; i++ {
-		counts[WeightedChoice(rng, weights)]++
-	}
-	if counts[0] != 0 {
-		t.Errorf("zero-weight option selected %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if math.Abs(ratio-3) > 0.3 {
-		t.Errorf("weight ratio = %g, want ~3", ratio)
-	}
-}
-
-func TestWeightedChoicePanics(t *testing.T) {
-	for _, weights := range [][]float64{{}, {0, 0}, {1, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic for weights %v", weights)
-				}
-			}()
-			WeightedChoice(NewRand(1), weights)
-		}()
-	}
-}

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // MovingAverage returns a centered moving average of xs with the given
 // window size. The window is clamped at the slice boundaries, so the output
 // has the same length as the input and edge values average over fewer
@@ -29,39 +27,6 @@ func MovingAverage(xs []float64, window int) []float64 {
 			hi = len(xs) - 1
 		}
 		out[i] = (prefix[hi+1] - prefix[lo]) / float64(hi-lo+1)
-	}
-	return out
-}
-
-// GaussianSmooth convolves xs with a Gaussian kernel of the given standard
-// deviation (in bins). The kernel is truncated at ±3σ and renormalized at
-// the edges so the curve is not pulled toward zero at the boundaries.
-// A sigma ≤ 0 returns a copy of the input.
-func GaussianSmooth(xs []float64, sigma float64) []float64 {
-	out := make([]float64, len(xs))
-	if sigma <= 0 {
-		copy(out, xs)
-		return out
-	}
-	radius := int(math.Ceil(3 * sigma))
-	kernel := make([]float64, 2*radius+1)
-	for i := range kernel {
-		d := float64(i - radius)
-		kernel[i] = math.Exp(-d * d / (2 * sigma * sigma))
-	}
-	for i := range xs {
-		var acc, norm float64
-		for k, w := range kernel {
-			j := i + k - radius
-			if j < 0 || j >= len(xs) {
-				continue
-			}
-			acc += w * xs[j]
-			norm += w
-		}
-		if norm > 0 {
-			out[i] = acc / norm
-		}
 	}
 	return out
 }

@@ -47,41 +47,6 @@ func TestMovingAverageEmpty(t *testing.T) {
 	}
 }
 
-func TestGaussianSmoothNoop(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	got := GaussianSmooth(xs, 0)
-	for i := range xs {
-		if got[i] != xs[i] {
-			t.Errorf("sigma=0 changed value at %d", i)
-		}
-	}
-}
-
-func TestGaussianSmoothPreservesConstant(t *testing.T) {
-	xs := make([]float64, 50)
-	for i := range xs {
-		xs[i] = 4
-	}
-	got := GaussianSmooth(xs, 2)
-	for i, g := range got {
-		if !almostEqual(g, 4, 1e-9) {
-			t.Errorf("constant curve changed at %d: %g", i, g)
-		}
-	}
-}
-
-func TestGaussianSmoothSpreadsImpulse(t *testing.T) {
-	xs := make([]float64, 21)
-	xs[10] = 1
-	got := GaussianSmooth(xs, 2)
-	if got[10] <= got[8] || got[8] <= got[5] {
-		t.Errorf("impulse response not monotone from peak: %v", got)
-	}
-	if got[10] >= 1 {
-		t.Errorf("peak not attenuated: %g", got[10])
-	}
-}
-
 // Property: a moving average never exceeds the range of its input.
 func TestMovingAverageBoundedProperty(t *testing.T) {
 	f := func(raw []float64, w uint8) bool {
@@ -106,16 +71,5 @@ func TestMovingAverageBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: smoothing preserves the total mass of a non-negative interior
-// impulse (Gaussian kernel is normalized away from the edges).
-func TestGaussianSmoothMassProperty(t *testing.T) {
-	xs := make([]float64, 101)
-	xs[50] = 7
-	got := GaussianSmooth(xs, 3)
-	if !almostEqual(Sum(got), 7, 1e-6) {
-		t.Errorf("mass not preserved: sum=%g, want 7", Sum(got))
 	}
 }
