@@ -6,20 +6,21 @@ import (
 	"lightor/internal/jsonscan"
 )
 
-// This file is the ingest hot path's JSON codec: reflection-free parsers
-// for the exact wire shapes live producers send — one message object, or a
-// whole array of them — with encoding/json as the fallback oracle for
-// anything unusual (escape sequences, case-folded or unknown keys, exotic
-// number grammar, invalid UTF-8). The fast paths either produce a result
+// This file is the JSON codec of chat messages on the ingest hot path and
+// in WAL replay: reflection-free parsers for the exact shapes live
+// producers send and json.Marshal writes — one message object, or a whole
+// array of them — with encoding/json as the fallback oracle for anything
+// unusual (escape sequences, case-folded or unknown keys, exotic number
+// grammar, invalid UTF-8). The fast paths either produce a result
 // bit-identical to the stdlib's or refuse, so callers get stdlib semantics
 // at a fraction of the cost; FuzzUnmarshalMessageJSON and
 // FuzzAppendMessagesJSON enforce the equivalence differentially.
 //
-// Both entry points copy their input to a string once and scan that: every
-// decoded User and Text is a substring of the copy, so a body costs one
-// allocation however many messages it holds (and the caller's buffer can be
-// reused at once). The price is that the messages of one body share its
-// lifetime — right for batches that are consumed together.
+// Both []byte entry points copy their input to a string once and scan that:
+// every decoded User and Text is a substring of the copy, so a body costs
+// one allocation however many messages it holds (and the caller's buffer
+// can be reused at once). The price is that the messages of one body share
+// its lifetime — right for batches that are consumed together.
 
 // UnmarshalMessageJSON decodes one JSON-encoded chat message into m. It is
 // a drop-in for json.Unmarshal(data, m): the common wire shape parses in a
@@ -49,8 +50,15 @@ func UnmarshalMessageJSON(data []byte, m *Message) error {
 // appended prefix is then meaningless) — the input may still be perfectly
 // valid JSON, just outside the fast shape.
 func AppendMessagesJSON(dst []Message, body []byte) (out []Message, next int, ok bool) {
-	data := string(body)
-	i := jsonscan.SkipSpace(data, 0)
+	return ScanMessagesJSON(dst, string(body), 0)
+}
+
+// ScanMessagesJSON is AppendMessagesJSON on a string, starting at offset i:
+// the form for a message array nested in a larger document (a WAL record's
+// video), whose copy the caller has already made. Every decoded User and
+// Text is a substring of data.
+func ScanMessagesJSON(dst []Message, data string, i int) (out []Message, next int, ok bool) {
+	i = jsonscan.SkipSpace(data, i)
 	if i >= len(data) || data[i] != '[' {
 		return dst, 0, false
 	}

@@ -1,10 +1,11 @@
 // Package jsonscan holds the token scanners shared by the reflection-free
-// JSON codecs of the ingest endpoints (chat.AppendMessagesJSON,
-// play.AppendEventsJSON). Each scanner reads one token of data starting at
-// offset i and returns the offset just past it. Any input whose decoding
-// encoding/json defines by a subtle rule (escapes, invalid UTF-8, loose
-// number grammar) is refused with ok == false, so a codec built on them
-// either decodes exactly what the stdlib would or falls back to it.
+// JSON codecs: the ingest endpoints' (chat.AppendMessagesJSON,
+// play.AppendEventsJSON) and the WAL replay's (platform.decodeWALRecord).
+// Each scanner reads one token of data starting at offset i and returns the
+// offset just past it. Any input whose decoding encoding/json defines by a
+// subtle rule (escapes, invalid UTF-8, loose number grammar) is refused with
+// ok == false, so a codec built on them either decodes exactly what the
+// stdlib would or falls back to it.
 package jsonscan
 
 import (

@@ -112,7 +112,9 @@ const (
 )
 
 // walRecord is one logged mutation. Exactly the fields its Op needs are
-// set; the rest stay empty (and omitted from the JSON).
+// set; the rest stay empty (and omitted from the JSON). json.Marshal writes
+// it; replay reads it back with scanWALRecord, which falls back to
+// json.Unmarshal for any record outside the shapes it knows.
 type walRecord struct {
 	Op      string          `json:"op"`
 	Video   *videoSnapshot  `json:"video,omitempty"`
@@ -131,31 +133,43 @@ type walRecord struct {
 	chatLog *chat.Log `json:"-"`
 }
 
-// decodeWALRecord parses and validates one WAL payload. Malformed input —
+// decodeWALRecord parses and validates one WAL payload: through
+// scanWALRecord, or json.Unmarshal where that refuses. Malformed input —
 // bad JSON, an unknown op, an op missing its required fields — is an
 // error, never a panic: WAL payloads come off disk.
 func decodeWALRecord(payload []byte) (walRecord, error) {
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("platform: undecodable wal record: %w", err)
+	rec, ok := scanWALRecord(string(payload))
+	if !ok {
+		// A variable of its own: json.Unmarshal moves it to the heap.
+		var std walRecord
+		if err := json.Unmarshal(payload, &std); err != nil {
+			return std, fmt.Errorf("platform: undecodable wal record: %w", err)
+		}
+		rec = std
 	}
+	return rec, checkWALRecord(rec)
+}
+
+// checkWALRecord rejects a record whose op is unknown or lacks the field
+// the op needs.
+func checkWALRecord(rec walRecord) error {
 	switch rec.Op {
 	case opPutVideo:
 		if rec.Video == nil {
-			return rec, fmt.Errorf("platform: %s record without video", rec.Op)
+			return fmt.Errorf("platform: %s record without video", rec.Op)
 		}
 	case opSetDots, opSetBoundaries, opSetRefined, opAppendEvents:
 		if rec.ID == "" {
-			return rec, fmt.Errorf("platform: %s record without video id", rec.Op)
+			return fmt.Errorf("platform: %s record without video id", rec.Op)
 		}
 	case opPutCkpt, opDelCkpt:
 		if rec.Channel == "" {
-			return rec, fmt.Errorf("platform: %s record without channel", rec.Op)
+			return fmt.Errorf("platform: %s record without channel", rec.Op)
 		}
 	default:
-		return rec, fmt.Errorf("platform: unknown wal op %q", rec.Op)
+		return fmt.Errorf("platform: unknown wal op %q", rec.Op)
 	}
-	return rec, nil
+	return nil
 }
 
 // applyWALRecord applies one decoded mutation to the materialized state —

@@ -2,8 +2,10 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lightor/internal/chat"
@@ -278,7 +280,9 @@ func TestFileBackendDurableAppendSurvivesAbandonedWriter(t *testing.T) {
 
 // FuzzDecodeWALRecord: the WAL record decoder must reject malformed
 // payloads with an error — never panic — and applying any decodable record
-// to a fresh backend must not panic either.
+// to a fresh backend must not panic either. It is differential: the
+// reflection-free scanner and json.Unmarshal must agree on accept/reject
+// and decode reflect.DeepEqual records, nil and empty slices told apart.
 func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte(`{"op":"put_video","video":{"id":"v1","duration":10,"chat":[]}}`))
 	f.Add([]byte(`{"op":"events","id":"v1","events":[{"user":"u","seq":1,"type":0,"pos":3}]}`))
@@ -287,10 +291,31 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"op":"put_video","video":{"id":"v1","duration":10,"chat":null}}`))
+	f.Add([]byte(`{"op":"put_video","video":null}`))
+	f.Add([]byte(`{"op":"events","id":"v1","events":[]}`))
+	f.Add([]byte(`{"op":"events","id":"v1","events":[{"user":"a","seq":1}],"events":[{"seq":2}]}`))
+	f.Add([]byte(`{"op":"ckpt","op":"del_ckpt","channel":"c"}`))
+	f.Add([]byte(`{"op":"put_video","video":{"id":"v\u00e9","duration":1,"chat":[{"time":1,"user":"a\tb","text":"\u003c3 R\u0026D \"gg\""}]}}`))
+	f.Add([]byte(`{"op":"set_refined","id":"v1","dots":[{"Time":5,"Peak":2}],"spans":[{"Start":1,"End":9}]}`))
+	f.Add([]byte(`{"op":"ckpt","channel":"c","state":"not base64!"}`))
+	f.Add([]byte(`{"op":"ckpt","channel":"c","state":""}`))
+	f.Add([]byte(`{"OP":"del_ckpt","channel":"c"}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		var want walRecord
+		wantErr := json.Unmarshal(payload, &want)
+		if wantErr == nil {
+			wantErr = checkWALRecord(want)
+		}
 		rec, err := decodeWALRecord(payload)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decodeWALRecord(%q) err = %v, json.Unmarshal says %v", payload, err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(rec, want) {
+			t.Fatalf("decodeWALRecord(%q) = %+v, json.Unmarshal = %+v", payload, rec, want)
 		}
 		b := NewMemoryBackend(MemoryConfig{})
 		_ = applyWALRecord(b, rec) // must not panic

@@ -2,9 +2,10 @@ package play
 
 import "lightor/internal/jsonscan"
 
-// This file is the interaction endpoint's JSON codec, the counterpart of
-// chat.AppendMessagesJSON: a reflection-free parser for the exact wire shape
-// player clients send — an array of {"user","seq","type","pos"} objects —
+// This file is the JSON codec of interaction events, on the interaction
+// endpoint and in WAL replay — the counterpart of chat.AppendMessagesJSON:
+// a reflection-free parser for the exact shape player clients send and
+// json.Marshal writes — an array of {"user","seq","type","pos"} objects —
 // with encoding/json as the fallback oracle for anything unusual (escape
 // sequences, case-folded or unknown keys, fractional or exponent integers,
 // invalid UTF-8). The fast path either produces a result bit-identical to
@@ -23,8 +24,15 @@ import "lightor/internal/jsonscan"
 // fall back to encoding/json (dst's appended prefix is then meaningless) —
 // the input may still be perfectly valid JSON, just outside the fast shape.
 func AppendEventsJSON(dst []Event, body []byte) (out []Event, next int, ok bool) {
-	data := string(body)
-	i := jsonscan.SkipSpace(data, 0)
+	return ScanEventsJSON(dst, string(body), 0)
+}
+
+// ScanEventsJSON is AppendEventsJSON on a string, starting at offset i: the
+// form for an event array nested in a larger document (a WAL record), whose
+// copy the caller has already made. Every decoded User is a substring of
+// data.
+func ScanEventsJSON(dst []Event, data string, i int) (out []Event, next int, ok bool) {
+	i = jsonscan.SkipSpace(data, i)
 	if i >= len(data) || data[i] != '[' {
 		return dst, 0, false
 	}
