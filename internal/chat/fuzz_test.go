@@ -2,6 +2,8 @@ package chat
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -12,19 +14,35 @@ import (
 // an error, never a panic — and accepted input must round-trip losslessly
 // through the writer.
 
+// FuzzReadJSONL is differential: ReadJSONL must accept and reject what
+// readJSONLReference does, with the same error, and decode the same
+// messages in the same order. Accepted input must also survive a
+// write/read round trip.
 func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(`{"time":1,"user":"a","text":"gg"}` + "\n"))
 	f.Add([]byte(`{"time":1e309}`))
 	f.Add([]byte("\n\n"))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"time":3,"user":"碧","text":"すごい 👍"}` + "\n"))
+	f.Add([]byte("{\"time\":2,\"user\":\"a\"}\r\n{\"time\":1}\r\n"))
+	f.Add([]byte("\n{\"time\":1}\n\n\n{\"time\":0}\n\r\n"))
+	f.Add([]byte(`{"time":1,"text":"no final newline"}`))
+	f.Add([]byte(`{"time":1,"text":"esc\"aped\u00e9\n"}` + "\n"))
+	f.Add([]byte(`{"time":1,"time":2,"user":"dup"}` + "\n"))
+	f.Add([]byte("{\"time\":5,\"user\":\"a\"}\n{\"time\":5,\"user\":\"b\"}\n{\"time\":-0,\"user\":\"c\"}\n{\"time\":0,\"user\":\"d\"}\n{\"time\":5,\"user\":\"e\"}\n"))
+	f.Add([]byte("{\"time\":1}\nnull\n{\"time\":2}\n{bad\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, err := ReadJSONL(bytes.NewReader(data))
+		want, wantErr := readJSONLReference(bytes.NewReader(data))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("ReadJSONL(%q) err = %v, reference err = %v", data, err, wantErr)
+		}
 		if err != nil {
 			return
 		}
-		// Accepted input must survive a write/read round trip with the
-		// same message count.
+		if !sameMessages(log.Messages(), want) {
+			t.Fatalf("ReadJSONL(%q) = %+v, reference = %+v", data, log.Messages(), want)
+		}
 		var buf bytes.Buffer
 		if err := WriteJSONL(&buf, log); err != nil {
 			t.Fatalf("accepted log failed to re-encode: %v", err)
@@ -33,8 +51,45 @@ func FuzzReadJSONL(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded log failed to parse: %v", err)
 		}
-		if again.Len() != log.Len() {
-			t.Fatalf("round trip changed length: %d -> %d", log.Len(), again.Len())
+		if !sameMessages(again.Messages(), log.Messages()) {
+			t.Fatalf("round trip changed %+v into %+v", log.Messages(), again.Messages())
+		}
+	})
+}
+
+// FuzzWriteJSONL: WriteJSONL must write exactly the bytes json.Encoder
+// writes for the same messages, and fail where it fails (NaN, ±Inf).
+func FuzzWriteJSONL(f *testing.F) {
+	f.Add(12.5, "viewer1", "gg wp", 3.0, "b", "x")
+	// One character to escape per message, so each escape rule is
+	// checked on its own.
+	f.Add(1.0, "<3", "gg", 2.0, "u", "a&b")
+	f.Add(1.0, "u", "x>y", 2.0, "\"q\"", "")
+	f.Add(1.0, "back\\slash", "", 1.0, "bad \xff byte", "")
+	f.Add(1.0, "", "line\u2028sep", 1.0, "", "para\u2029sep")
+	f.Add(math.Copysign(0, -1), "neg", "zero", 0.0, "tab\t", "ctl\x01\x7f")
+	f.Add(1e-7, "small", "e-7", 1e21, "big", "e+21")
+	f.Add(1e-6, "edge", "f", 999999999999999999999.0, "edge", "f")
+	f.Add(math.NaN(), "nan", "", 1.0, "", "")
+	f.Add(1.0, "", "", math.Inf(-1), "inf", "")
+	f.Add(3.0, "碧", "すごい 👍", -2.5, "u", "v")
+	f.Fuzz(func(t *testing.T, t1 float64, u1, x1 string, t2 float64, u2, x2 string) {
+		// NewLog would reorder the two; the writer is checked on this order.
+		l := &Log{messages: []Message{{Time: t1, User: u1, Text: x1}, {Time: t2, User: u2, Text: x2}}}
+		var got, want bytes.Buffer
+		err := WriteJSONL(&got, l)
+		enc := json.NewEncoder(&want)
+		var wantErr error
+		for _, m := range l.Messages() {
+			if wantErr = enc.Encode(m); wantErr != nil {
+				break
+			}
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("WriteJSONL(%+v) err = %v, json.Encoder err = %v", l.Messages(), err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteJSONL(%+v) wrote\n%q\njson.Encoder writes\n%q", l.Messages(), got.Bytes(), want.Bytes())
 		}
 	})
 }
@@ -51,7 +106,7 @@ func FuzzReadIRCText(f *testing.F) {
 }
 
 // FuzzUnmarshalMessageJSON is the differential oracle for the ingest hot
-// path's fast message decoder: on every input, UnmarshalMessageJSON must
+// path's fast message decoder: on every input, decodeMessage must
 // agree with encoding/json — same accept/reject decision, same decoded
 // value, same merge-into-existing-fields semantics — because the fast
 // path's whole contract is "indistinguishable from the stdlib, minus the
@@ -65,8 +120,8 @@ func FuzzUnmarshalMessageJSON(f *testing.F) {
 	f.Add([]byte("{\"text\":\"bad \xff utf8\"}"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prior := Message{Time: -7, User: "pu", Text: "pt"}
-		fast, std := prior, prior
-		fastErr := UnmarshalMessageJSON(data, &fast)
+		std := prior
+		fast, fastErr := decodeMessage(string(data), prior)
 		stdErr := jsonUnmarshalMessage(data, &std)
 		if (fastErr == nil) != (stdErr == nil) {
 			t.Fatalf("accept/reject mismatch on %q: fast=%v std=%v", data, fastErr, stdErr)

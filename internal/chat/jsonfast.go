@@ -6,38 +6,39 @@ import (
 	"lightor/internal/jsonscan"
 )
 
-// This file is the JSON codec of chat messages on the ingest hot path and
-// in WAL replay: reflection-free parsers for the exact shapes live
-// producers send and json.Marshal writes — one message object, or a whole
-// array of them — with encoding/json as the fallback oracle for anything
-// unusual (escape sequences, case-folded or unknown keys, exotic number
-// grammar, invalid UTF-8). The fast paths either produce a result
+// This file is the JSON codec of chat messages on the ingest hot path, in
+// WAL replay and in JSON-lines logs: reflection-free parsers for the exact
+// shapes live producers send and json.Marshal writes — one message object,
+// or a whole array of them — with encoding/json as the fallback oracle for
+// anything unusual (escape sequences, case-folded or unknown keys, exotic
+// number grammar, invalid UTF-8). The fast paths either produce a result
 // bit-identical to the stdlib's or refuse, so callers get stdlib semantics
 // at a fraction of the cost; FuzzUnmarshalMessageJSON and
 // FuzzAppendMessagesJSON enforce the equivalence differentially.
 //
-// Both []byte entry points copy their input to a string once and scan that:
-// every decoded User and Text is a substring of the copy, so a body costs
-// one allocation however many messages it holds (and the caller's buffer
-// can be reused at once). The price is that the messages of one body share
-// its lifetime — right for batches that are consumed together.
+// AppendMessagesJSON copies its body to a string once and scans that, as
+// ReadJSONL does with a whole log: every decoded User and Text is a
+// substring of the copy, so a body costs one allocation however many
+// messages it holds (and the caller's buffer can be reused at once). The
+// price is that the messages of one body share its lifetime — right for
+// batches that are consumed together.
 
-// UnmarshalMessageJSON decodes one JSON-encoded chat message into m. It is
-// a drop-in for json.Unmarshal(data, m): the common wire shape parses in a
-// single reflection-free pass; anything else falls back to encoding/json.
-// It is the single-message form of the array codec the live endpoint runs
-// (AppendMessagesJSON) — they share scanMessageObject, and the
-// differential fuzz target on this function is what pins the scanner's
-// merge semantics against the stdlib's.
-func UnmarshalMessageJSON(data []byte, m *Message) error {
-	src := string(data)
-	i := jsonscan.SkipSpace(src, 0)
-	out, next, ok := scanMessageObject(src, i, *m)
-	if ok && jsonscan.SkipSpace(src, next) == len(src) {
-		*m = out
-		return nil
+// decodeMessage decodes one JSON-encoded chat message (a line of a
+// JSON-lines log) over base, as json.Unmarshal does into a Message holding
+// base: the common shape parses in one reflection-free pass, and User and
+// Text are then substrings of data; anything else falls back to
+// encoding/json. It is the single-message form of the array codec the live
+// endpoint runs (AppendMessagesJSON) — they share scanMessageObject, and
+// the differential fuzz target on this function is what pins the
+// scanner's merge semantics against the stdlib's.
+func decodeMessage(data string, base Message) (Message, error) {
+	m, next, ok := scanMessageObject(data, jsonscan.SkipSpace(data, 0), base)
+	if ok && jsonscan.SkipSpace(data, next) == len(data) {
+		return m, nil
 	}
-	return json.Unmarshal(data, m)
+	std := base // declared here: json.Unmarshal moves it to the heap
+	err := json.Unmarshal([]byte(data), &std)
+	return std, err
 }
 
 // AppendMessagesJSON parses one JSON array of message objects from the

@@ -8,20 +8,20 @@ import (
 	"testing"
 )
 
-// diffUnmarshal checks UnmarshalMessageJSON against encoding/json on one
+// diffUnmarshal checks decodeMessage against encoding/json on one
 // input: success/failure must agree, and on success the decoded values
 // (and merge-into-existing semantics) must match exactly.
 func diffUnmarshal(t *testing.T, data []byte) {
 	t.Helper()
 	prior := Message{Time: -123, User: "prior-user", Text: "prior-text"}
-	fast, std := prior, prior
-	fastErr := UnmarshalMessageJSON(data, &fast)
+	std := prior
+	fast, fastErr := decodeMessage(string(data), prior)
 	stdErr := json.Unmarshal(data, &std)
 	if (fastErr == nil) != (stdErr == nil) {
-		t.Fatalf("UnmarshalMessageJSON(%q) err = %v, json.Unmarshal err = %v", data, fastErr, stdErr)
+		t.Fatalf("decodeMessage(%q) err = %v, json.Unmarshal err = %v", data, fastErr, stdErr)
 	}
 	if fastErr == nil && fast != std {
-		t.Fatalf("UnmarshalMessageJSON(%q) = %+v, json.Unmarshal = %+v", data, fast, std)
+		t.Fatalf("decodeMessage(%q) = %+v, json.Unmarshal = %+v", data, fast, std)
 	}
 }
 
@@ -196,9 +196,8 @@ func BenchmarkUnmarshalMessageJSON(b *testing.B) {
 	data := []byte(`{"time":125.5,"user":"viewer42","text":"LETS GOOO what a play"}`)
 	b.Run("fast", func(b *testing.B) {
 		b.ReportAllocs()
-		var m Message
 		for i := 0; i < b.N; i++ {
-			if err := UnmarshalMessageJSON(data, &m); err != nil {
+			if _, err := decodeMessage(string(data), Message{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@ package chat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -23,13 +24,91 @@ type Log struct {
 	messages []Message
 }
 
-// NewLog builds a Log from messages, copying and sorting them by time
-// (stable, so same-timestamp messages keep their arrival order).
+// NewLog builds a Log from messages, copying them and ordering the copy by
+// time (stable, so same-timestamp messages keep their arrival order). The
+// order is exactly sort.SliceStable's under Time <. Input already in time
+// order (crawled, replayed or posted chat) costs one linear check and no
+// sort.
 func NewLog(messages []Message) *Log {
+	return &Log{messages: sortedByTime(messages, false)}
+}
+
+// newOwnedLog is NewLog for a slice the caller hands over: already-ordered
+// input becomes the log as it is, without a second copy.
+func newOwnedLog(messages []Message) *Log {
+	return &Log{messages: sortedByTime(messages, true)}
+}
+
+// sortedByTime returns messages in the order sort.SliceStable puts them
+// under Time <: messages itself when owned and already in order, a fresh
+// slice otherwise. messages is never modified.
+func sortedByTime(messages []Message, owned bool) []Message {
+	if timeOrdered(messages) {
+		// A stable sort of ordered input under a strict weak order is the
+		// identity.
+		if owned {
+			return messages
+		}
+		ms := make([]Message, len(messages))
+		copy(ms, messages)
+		return ms
+	}
+	if slices.ContainsFunc(messages, func(m Message) bool { return m.Time != m.Time }) {
+		// NaN compares false both ways, so < is no strict weak order and
+		// only the algorithm itself says where things land. SortStableFunc
+		// runs sort.SliceStable's insertion sort and symMerge, asking
+		// cmp(a, b) < 0 wherever SliceStable asks less(a, b). (cmp.Compare
+		// would not do: it orders NaN first.)
+		ms := make([]Message, len(messages))
+		copy(ms, messages)
+		slices.SortStableFunc(ms, func(a, b Message) int {
+			if a.Time < b.Time {
+				return -1
+			}
+			return 0
+		})
+		return ms
+	}
+	// Without NaN, Time < is a strict weak order (-0 ties with +0), so the
+	// stable order is the one that breaks ties by input index. Sorting
+	// pointer-free (Time, index) keys swaps 16 bytes with no write barrier;
+	// the messages then move once.
+	keys := make([]timeKey, len(messages))
+	for i := range messages {
+		keys[i] = timeKey{messages[i].Time, i}
+	}
+	slices.SortFunc(keys, func(a, b timeKey) int {
+		switch {
+		case a.t < b.t:
+			return -1
+		case b.t < a.t:
+			return 1
+		}
+		return a.i - b.i
+	})
 	ms := make([]Message, len(messages))
-	copy(ms, messages)
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Time < ms[j].Time })
-	return &Log{messages: ms}
+	for j, k := range keys {
+		ms[j] = messages[k.i]
+	}
+	return ms
+}
+
+// timeOrdered reports whether messages are in time order and free of NaN.
+func timeOrdered(messages []Message) bool {
+	for i := range messages {
+		t := messages[i].Time
+		if t != t || (i > 0 && t < messages[i-1].Time) {
+			return false
+		}
+	}
+	return true
+}
+
+// timeKey is one message's sort key: its time, and its index in the input
+// as the tie-break that makes the order stable.
+type timeKey struct {
+	t float64
+	i int
 }
 
 // Len returns the number of messages.

@@ -1,6 +1,11 @@
 package chat
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -88,5 +93,88 @@ func TestValidate(t *testing.T) {
 	}
 	if err := NewLog(msgs(11)).Validate(0); err != nil {
 		t.Errorf("duration 0 should skip upper check: %v", err)
+	}
+}
+
+// TestNewLogMatchesSliceStable checks NewLog against the sort.SliceStable
+// it replaced, element for element and bit for bit: ties keep input order,
+// -0 ties with +0, and NaN lands wherever SliceStable puts it.
+func TestNewLogMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(20200420))
+	negZero := math.Copysign(0, -1)
+	times := map[string]func(i, n int) float64{
+		"sorted":   func(i, n int) float64 { return float64(i / 3) },
+		"reversed": func(i, n int) float64 { return float64((n - i) / 3) },
+		"ties":     func(i, n int) float64 { return float64(rng.Intn(4)) },
+		"zeros": func(i, n int) float64 {
+			return []float64{0, negZero, 1, -1}[rng.Intn(4)]
+		},
+		"random": func(i, n int) float64 { return rng.Float64() * 100 },
+		"nan": func(i, n int) float64 {
+			if rng.Intn(5) == 0 {
+				return math.NaN()
+			}
+			return float64(rng.Intn(8))
+		},
+		"nan-sorted": func(i, n int) float64 {
+			if i == n/2 {
+				return math.NaN()
+			}
+			return float64(i)
+		},
+		"sorted-runs": func(i, n int) float64 { return float64(i % 25) },
+		// Every adjacent pair is in order (NaN compares false both ways),
+		// yet the stable sort moves the run after the NaN forward.
+		"nan-between-runs": func(i, n int) float64 {
+			switch {
+			case i < 20:
+				return float64(10 + i)
+			case i == 20:
+				return math.NaN()
+			}
+			return float64(i - 21)
+		},
+		"inf": func(i, n int) float64 {
+			return []float64{math.Inf(1), math.Inf(-1), 3, negZero}[rng.Intn(4)]
+		},
+	}
+	for name, at := range times {
+		for _, n := range []int{0, 1, 2, 19, 20, 21, 64, 257, 1000} {
+			in := make([]Message, n)
+			for i := range in {
+				in[i] = Message{Time: at(i, n), User: fmt.Sprint(i)}
+			}
+			want := slices.Clone(in)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
+			before := slices.Clone(in)
+			got := NewLog(in).Messages()
+			if !sameMessages(got, want) {
+				t.Fatalf("%s, n=%d: NewLog order differs from sort.SliceStable", name, n)
+			}
+			if !sameMessages(in, before) {
+				t.Fatalf("%s, n=%d: NewLog modified its input", name, n)
+			}
+			if owned := newOwnedLog(slices.Clone(in)).Messages(); !sameMessages(owned, want) {
+				t.Fatalf("%s, n=%d: newOwnedLog order differs from sort.SliceStable", name, n)
+			}
+		}
+	}
+}
+
+// TestNewLogSortedOneAllocation: ordered input costs NewLog its copy and
+// nothing else (no key slice, no sort). The Log itself stays on the stack
+// here, where NewLog is inlined into a caller that does not keep it.
+func TestNewLogSortedOneAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	in := msgs(1, 2, 2, 3, 5, 8, 13)
+	allocs := testing.AllocsPerRun(100, func() {
+		if NewLog(in).Len() != len(in) {
+			t.Fatal("NewLog dropped messages")
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("NewLog of ordered input took %.0f allocations, want 1", allocs)
 	}
 }

@@ -305,14 +305,19 @@ func (b *MemoryBackend) AppendEvents(id string, events []play.Event) error {
 
 // appendEventsLocked is the append+retention body; caller holds sh.mu.
 func (b *MemoryBackend) appendEventsLocked(sh *storeShard, id string, events []play.Event) {
-	log := append(sh.events[id], events...)
-	if cap := b.cfg.EventRetention; cap > 0 && len(log) > cap+cap/4 {
-		keep := log[len(log)-cap:]
-		compacted := make([]play.Event, cap)
-		copy(compacted, keep)
-		log = compacted
+	log := sh.events[id]
+	if cap := b.cfg.EventRetention; cap > 0 && len(log)+len(events) > cap+cap/4 {
+		// Keep the newest cap events of log+events in a slice with room
+		// for cap/4 more: every append until the next compaction then fits,
+		// and no append reallocates and copies the whole log first.
+		if len(events) >= cap {
+			log, events = nil, events[len(events)-cap:]
+		} else {
+			log = log[len(log)-(cap-len(events)):]
+		}
+		log = append(make([]play.Event, 0, cap+cap/4), log...)
 	}
-	sh.events[id] = log
+	sh.events[id] = append(log, events...)
 }
 
 // AppendEventsBatch appends a multi-video event burst atomically: every

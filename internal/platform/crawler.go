@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 
 	"lightor/internal/chat"
 )
@@ -40,7 +41,7 @@ func (c *Crawler) Channels() ([]string, error) {
 // Videos lists the recorded videos of a channel.
 func (c *Crawler) Videos(channel string) ([]TwitchVideo, error) {
 	var videos []TwitchVideo
-	if err := c.getJSON("/videos?channel="+channel, &videos); err != nil {
+	if err := c.getJSON("/videos?channel="+url.QueryEscape(channel), &videos); err != nil {
 		return nil, err
 	}
 	return videos, nil
@@ -50,7 +51,7 @@ func (c *Crawler) Videos(channel string) ([]TwitchVideo, error) {
 // on-demand crawling when a viewer opens a video the store has never seen.
 func (c *Crawler) LookupVideo(id string) (TwitchVideo, error) {
 	var v TwitchVideo
-	if err := c.getJSON("/video?id="+id, &v); err != nil {
+	if err := c.getJSON("/video?id="+url.QueryEscape(id), &v); err != nil {
 		return TwitchVideo{}, err
 	}
 	return v, nil
@@ -62,7 +63,7 @@ func (c *Crawler) CrawlVideo(v TwitchVideo) error {
 	if c.Store.HasChat(v.ID) {
 		return nil
 	}
-	resp, err := c.client().Get(c.BaseURL + "/chat?video=" + v.ID)
+	resp, err := c.client().Get(c.BaseURL + "/chat?video=" + url.QueryEscape(v.ID))
 	if err != nil {
 		return fmt.Errorf("platform: fetching chat for %s: %w", v.ID, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -235,6 +236,45 @@ func TestServiceOnDemandCrawl(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("ghost video returned %d, want 404", resp2.StatusCode)
+	}
+}
+
+// TestServiceOnDemandCrawlEscapedID opens a video whose id carries query
+// metacharacters: the service decodes the viewer's query, so the crawler
+// must encode the id again to look the video up and fetch its chat.
+func TestServiceOnDemandCrawlEscapedID(t *testing.T) {
+	init, target := trainedInitializer(t)
+	const id = "c+1 a&b#x%41"
+	tw := NewSimTwitch()
+	tw.AddVideo(TwitchVideo{
+		ID:       id,
+		Channel:  "chan",
+		Duration: target.Video.Duration,
+		Viewers:  900,
+	}, target.Chat.Log)
+	twitchSrv := httptest.NewServer(tw.Handler())
+	defer twitchSrv.Close()
+
+	store := NewStore()
+	svc := &Service{
+		Store:   store,
+		Engine:  testEngine(t, init),
+		Crawler: &Crawler{BaseURL: twitchSrv.URL, Store: store},
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/api/highlights?video=" + url.QueryEscape(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("on-demand crawl of %q returned %d: %s", id, resp.StatusCode, body)
+	}
+	if !store.HasChat(id) {
+		t.Errorf("video %q was served but not stored", id)
 	}
 }
 

@@ -216,6 +216,85 @@ func TestCrawlerErrors(t *testing.T) {
 	}
 }
 
+// TestEventRetentionBatches appends batches of every size, larger than the
+// cap included, and checks the retained log after each against the rule
+// it implements: append, then once more than cap+cap/4 events are held,
+// keep the newest cap.
+func TestEventRetentionBatches(t *testing.T) {
+	const cap = 100
+	b := NewMemoryBackend(MemoryConfig{EventRetention: cap})
+	if err := b.PutVideo(VideoRecord{ID: "v", Duration: 60}); err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRand(7)
+	var want []play.Event
+	seq := 0
+	for round := 0; round < 400; round++ {
+		batch := make([]play.Event, rng.Intn(3*cap/2))
+		for i := range batch {
+			batch[i] = play.Event{User: "u", Seq: seq}
+			seq++
+		}
+		if err := b.AppendEvents("v", batch); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, batch...)
+		if len(want) > cap+cap/4 {
+			want = append([]play.Event(nil), want[len(want)-cap:]...)
+		}
+		got, total := b.ScanEvents("v", 0, 0)
+		if total != len(want) || len(got) != len(want) {
+			t.Fatalf("round %d (batch of %d): %d events retained, want %d", round, len(batch), total, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d (batch of %d): event %d = %+v, want %+v", round, len(batch), i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCrawlerEscapesQueryValues crawls channels and videos whose names
+// carry the characters a query string gives meaning to; each must reach
+// SimTwitch as the value it is.
+func TestCrawlerEscapesQueryValues(t *testing.T) {
+	names := []string{"c+1", "a&b", "a b", "x#y", "p%41", "q=1;r"}
+	tw := NewSimTwitch()
+	for i, name := range names {
+		tw.AddVideo(TwitchVideo{ID: name, Channel: name, Duration: 60}, chat.NewLog([]chat.Message{
+			{Time: float64(i), User: "u", Text: "gg"},
+		}))
+	}
+	srv := httptest.NewServer(tw.Handler())
+	defer srv.Close()
+
+	store := NewStore()
+	crawler := &Crawler{BaseURL: srv.URL, Store: store}
+	for i, name := range names {
+		videos, err := crawler.Videos(name)
+		if err != nil {
+			t.Fatalf("Videos(%q): %v", name, err)
+		}
+		if len(videos) != 1 || videos[0].ID != name {
+			t.Fatalf("Videos(%q) = %+v", name, videos)
+		}
+		v, err := crawler.LookupVideo(name)
+		if err != nil {
+			t.Fatalf("LookupVideo(%q): %v", name, err)
+		}
+		if v.ID != name {
+			t.Fatalf("LookupVideo(%q) = %+v", name, v)
+		}
+		if err := crawler.CrawlVideo(v); err != nil {
+			t.Fatalf("CrawlVideo(%q): %v", name, err)
+		}
+		rec, ok := store.Video(name)
+		if !ok || rec.Chat.Len() != 1 || rec.Chat.At(0).Time != float64(i) {
+			t.Fatalf("video %q stored as %+v", name, rec)
+		}
+	}
+}
+
 // trainedInitializer builds a minimal trained initializer for service
 // tests — the shared sim-package recipe.
 func trainedInitializer(t *testing.T) (*core.Initializer, sim.VideoData) {

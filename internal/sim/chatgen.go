@@ -1,9 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
+	"strconv"
 
 	"lightor/internal/chat"
 	"lightor/internal/stats"
@@ -39,15 +38,12 @@ type ChatResult struct {
 //     (fools count and similarity, caught by message length).
 func GenerateChat(rng *rand.Rand, v Video, p Profile) ChatResult {
 	var messages []chat.Message
+	say := viewers{rng: rng}
 
 	// 1. Background chatter.
 	t := stats.Exponential(rng, p.BackgroundRate)
 	for t < v.Duration {
-		messages = append(messages, chat.Message{
-			Time: t,
-			User: randomUser(rng),
-			Text: casualText(rng, p, 4, 12),
-		})
+		messages = append(messages, say.message(t, p.CasualVocab, 4, 12))
 		t += stats.Exponential(rng, p.BackgroundRate)
 	}
 
@@ -70,11 +66,7 @@ func GenerateChat(rng *rand.Rand, v Video, p Profile) ChatResult {
 			mt := stats.Normal(rng, peak, p.BurstSpread)
 			// Nobody comments before the highlight begins.
 			mt = stats.Clamp(mt, h.Start+0.5, v.Duration-0.1)
-			messages = append(messages, chat.Message{
-				Time: mt,
-				User: randomUser(rng),
-				Text: excitedText(rng, topic),
-			})
+			messages = append(messages, say.message(mt, topic, 1, 3))
 		}
 		bursts = append(bursts, Burst{Highlight: h, Peak: peak, Messages: n})
 	}
@@ -87,11 +79,7 @@ func GenerateChat(rng *rand.Rand, v Video, p Profile) ChatResult {
 		n := stats.IntBetween(rng, 15, 45)
 		for i := 0; i < n; i++ {
 			mt := stats.Clamp(stats.Normal(rng, center, 12), 0, v.Duration-0.1)
-			messages = append(messages, chat.Message{
-				Time: mt,
-				User: randomUser(rng),
-				Text: casualText(rng, p, 8, 20),
-			})
+			messages = append(messages, say.message(mt, p.CasualVocab, 8, 20))
 		}
 	}
 
@@ -106,11 +94,7 @@ func GenerateChat(rng *rand.Rand, v Video, p Profile) ChatResult {
 		n := stats.IntBetween(rng, 20, 45)
 		for i := 0; i < n; i++ {
 			mt := stats.Clamp(stats.Normal(rng, center, 8), 0, v.Duration-0.1)
-			messages = append(messages, chat.Message{
-				Time: mt,
-				User: randomUser(rng),
-				Text: casualText(rng, p, 1, 3),
-			})
+			messages = append(messages, say.message(mt, p.CasualVocab, 1, 3))
 		}
 	}
 
@@ -119,7 +103,7 @@ func GenerateChat(rng *rand.Rand, v Video, p Profile) ChatResult {
 	for b := 0; b < nBots; b++ {
 		center := stats.Uniform(rng, 60, v.Duration-60)
 		ad := stats.Choice(rng, p.BotAds)
-		bot := fmt.Sprintf("bot%04d", rng.Intn(10000))
+		bot := string(appendPadded([]byte("bot"), rng.Intn(10000), 4))
 		n := stats.IntBetween(rng, 25, 60)
 		for i := 0; i < n; i++ {
 			mt := stats.Clamp(stats.Normal(rng, center, 4), 0, v.Duration-0.1)
@@ -146,10 +130,6 @@ func LabelWindows(windows []chat.Window, bursts []Burst) []int {
 	return labels
 }
 
-func randomUser(rng *rand.Rand) string {
-	return fmt.Sprintf("user%05d", rng.Intn(100000))
-}
-
 // burstTopic picks the 2–4 hype words one burst converges on.
 func burstTopic(rng *rand.Rand, p Profile) []string {
 	n := stats.IntBetween(rng, 2, 4)
@@ -160,23 +140,37 @@ func burstTopic(rng *rand.Rand, p Profile) []string {
 	return topic
 }
 
-// excitedText builds a short (1–3 word) hype message from a burst topic.
-func excitedText(rng *rand.Rand, topic []string) string {
-	n := stats.IntBetween(rng, 1, 3)
-	words := make([]string, n)
-	for i := range words {
-		words[i] = stats.Choice(rng, topic)
-	}
-	return strings.Join(words, " ")
+// viewers writes the messages of simulated viewers.
+type viewers struct {
+	rng *rand.Rand
+	buf []byte // scratch, reused from message to message
 }
 
-// casualText builds a message of minWords..maxWords from the casual
-// vocabulary; long and mutually dissimilar.
-func casualText(rng *rand.Rand, p Profile, minWords, maxWords int) string {
-	n := stats.IntBetween(rng, minWords, maxWords)
-	words := make([]string, n)
-	for i := range words {
-		words[i] = stats.Choice(rng, p.CasualVocab)
+// message draws a viewer name ("user" and five digits) and then a text of
+// lo..hi words from vocab, joined by spaces. Name and text are cut from
+// one string, so a message costs one allocation.
+func (v *viewers) message(t float64, vocab []string, lo, hi int) chat.Message {
+	b := appendPadded(append(v.buf[:0], "user"...), v.rng.Intn(100000), 5)
+	user := len(b)
+	n := stats.IntBetween(v.rng, lo, hi)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, stats.Choice(v.rng, vocab)...)
 	}
-	return strings.Join(words, " ")
+	v.buf = b
+	s := string(b)
+	return chat.Message{Time: t, User: s[:user], Text: s[user:]}
+}
+
+// appendPadded appends the decimal form of n >= 0, zero-padded to width
+// digits: fmt's %0*d.
+func appendPadded(dst []byte, n, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for i := len(d); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
 }

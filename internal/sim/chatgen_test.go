@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -222,5 +225,38 @@ func TestGenerateChannelStats(t *testing.T) {
 	viewerCDF := stats.NewECDF(viewers)
 	if frac := viewerCDF.AtLeast(100); frac < 0.999 {
 		t.Errorf("%.1f%% of videos clear 100 viewers; paper says all", frac*100)
+	}
+}
+
+// TestGenerateChatGolden pins the simulator's output: every message's
+// time, user and text, and every burst, for fixed seeds. The benchmark's
+// pinned digests are built on this world, so a change to the random draws
+// or their order must show up here, not first as a drifted pin.
+func TestGenerateChatGolden(t *testing.T) {
+	h := sha256.New()
+	var b [8]byte
+	put := func(f float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	for _, p := range []Profile{Dota2Profile(), LoLProfile()} {
+		rng := stats.NewRand(20200420)
+		for i := 0; i < 2; i++ {
+			cr := GenerateChat(rng, GenerateVideo(rng, p, "v"), p)
+			for _, m := range cr.Log.Messages() {
+				put(m.Time)
+				h.Write([]byte(m.User + "\x00" + m.Text + "\x00"))
+			}
+			for _, bu := range cr.Bursts {
+				put(bu.Highlight.Start)
+				put(bu.Highlight.End)
+				put(bu.Peak)
+				put(float64(bu.Messages))
+			}
+		}
+	}
+	const want = "45b9726be7f3c7afa61e3a296b4570a3b53529357d6120b3b2e31a08109ab7c1"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("simulated chat digest = %s, want %s", got, want)
 	}
 }

@@ -110,7 +110,10 @@ type staticSource []Play
 
 func (s staticSource) Interactions(dot float64) []Play { return s }
 
-// ReadChatJSONL parses a JSON-lines chat log (one message per line).
+// ReadChatJSONL parses a JSON-lines chat log (one message per line). The
+// returned messages of one log share one backing string: their users and
+// texts are cut from a single copy of the input, which stays in memory
+// while any of them does.
 func ReadChatJSONL(r io.Reader) ([]Message, error) {
 	log, err := chat.ReadJSONL(r)
 	if err != nil {
