@@ -80,7 +80,7 @@ func ParseClock(s string) (float64, error) {
 		if err != nil || v < 0 {
 			return 0, fmt.Errorf("bad clock component %q in %q", p, s)
 		}
-		total = total*60 + v
+		total = float64(total*60) + v
 	}
 	return total, nil
 }

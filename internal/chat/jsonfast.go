@@ -9,9 +9,10 @@ import (
 // This file is the JSON codec of chat messages on the ingest hot path, in
 // WAL replay and in JSON-lines logs: reflection-free parsers for the exact
 // shapes live producers send and json.Marshal writes — one message object,
-// or a whole array of them — with encoding/json as the fallback oracle for
-// anything unusual (escape sequences, case-folded or unknown keys, exotic
-// number grammar, invalid UTF-8). The fast paths either produce a result
+// or a whole array of them, walked with jsonscan.Object and jsonscan.Array
+// — with encoding/json as the fallback oracle for anything unusual (escape
+// sequences, case-folded or unknown keys, exotic number grammar, invalid
+// UTF-8). The fast paths either produce a result
 // bit-identical to the stdlib's or refuse, so callers get stdlib semantics
 // at a fraction of the cost; FuzzUnmarshalMessageJSON and
 // FuzzAppendMessagesJSON enforce the equivalence differentially.
@@ -28,9 +29,10 @@ import (
 // base: the common shape parses in one reflection-free pass, and User and
 // Text are then substrings of data; anything else falls back to
 // encoding/json. It is the single-message form of the array codec the live
-// endpoint runs (AppendMessagesJSON) — they share scanMessageObject, and
-// the differential fuzz target on this function is what pins the
-// scanner's merge semantics against the stdlib's.
+// endpoint runs (AppendMessagesJSON): both read an object with
+// scanMessageObject, a jsonscan.Object walk with one case per field, and
+// the differential fuzz target on this function is what pins its merge
+// semantics against the stdlib's.
 func decodeMessage(data string, base Message) (Message, error) {
 	m, next, ok := scanMessageObject(data, jsonscan.SkipSpace(data, 0), base)
 	if ok && jsonscan.SkipSpace(data, next) == len(data) {
@@ -59,33 +61,12 @@ func AppendMessagesJSON(dst []Message, body []byte) (out []Message, next int, ok
 // video), whose copy the caller has already made. Every decoded User and
 // Text is a substring of data.
 func ScanMessagesJSON(dst []Message, data string, i int) (out []Message, next int, ok bool) {
-	i = jsonscan.SkipSpace(data, i)
-	if i >= len(data) || data[i] != '[' {
-		return dst, 0, false
-	}
-	i = jsonscan.SkipSpace(data, i+1)
-	if i < len(data) && data[i] == ']' {
-		return dst, i + 1, true
-	}
-	for {
-		m, mNext, mok := scanMessageObject(data, i, Message{})
-		if !mok {
-			return dst, 0, false
-		}
+	next, ok = jsonscan.Array(data, jsonscan.SkipSpace(data, i), func(i int) (int, bool) {
+		m, next, ok := scanMessageObject(data, i, Message{})
 		dst = append(dst, m)
-		i = jsonscan.SkipSpace(data, mNext)
-		if i >= len(data) {
-			return dst, 0, false
-		}
-		switch data[i] {
-		case ',':
-			i = jsonscan.SkipSpace(data, i+1)
-		case ']':
-			return dst, i + 1, true
-		default:
-			return dst, 0, false
-		}
-	}
+		return next, ok
+	})
+	return dst, next, ok
 }
 
 // scanMessageObject parses one message object starting at data[i],
@@ -96,61 +77,18 @@ func ScanMessagesJSON(dst []Message, data string, i int) (out []Message, next in
 // sequences, invalid UTF-8 coercion, case-insensitive key matching,
 // unknown fields, number edge grammar).
 func scanMessageObject(data string, i int, base Message) (m Message, next int, ok bool) {
-	if i >= len(data) || data[i] != '{' {
-		return base, 0, false
-	}
-	i = jsonscan.SkipSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return base, i + 1, true
-	}
-	for {
-		key, kn, kok := jsonscan.String(data, i)
-		if !kok {
-			return base, 0, false
-		}
-		i = jsonscan.SkipSpace(data, kn)
-		if i >= len(data) || data[i] != ':' {
-			return base, 0, false
-		}
-		i = jsonscan.SkipSpace(data, i+1)
+	next, ok = jsonscan.Object(data, i, func(key string, i int) (next int, ok bool) {
 		switch key {
 		case "time":
-			val, vn, vok := jsonscan.Float(data, i)
-			if !vok {
-				return base, 0, false
-			}
-			base.Time = val
-			i = vn
+			base.Time, next, ok = jsonscan.Float(data, i)
 		case "user":
-			val, vn, vok := jsonscan.String(data, i)
-			if !vok {
-				return base, 0, false
-			}
-			base.User = val
-			i = vn
+			base.User, next, ok = jsonscan.String(data, i)
 		case "text":
-			val, vn, vok := jsonscan.String(data, i)
-			if !vok {
-				return base, 0, false
-			}
-			base.Text = val
-			i = vn
-		default:
-			// Unknown (or case-folded) key: stdlib has matching rules the
-			// fast path must not re-implement.
-			return base, 0, false
+			base.Text, next, ok = jsonscan.String(data, i)
 		}
-		i = jsonscan.SkipSpace(data, i)
-		if i >= len(data) {
-			return base, 0, false
-		}
-		switch data[i] {
-		case ',':
-			i = jsonscan.SkipSpace(data, i+1)
-		case '}':
-			return base, i + 1, true
-		default:
-			return base, 0, false
-		}
-	}
+		// ok is still false for an unknown (or case-folded) key: the
+		// stdlib has matching rules the fast path must not re-implement.
+		return next, ok
+	})
+	return base, next, ok
 }

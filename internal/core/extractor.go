@@ -389,7 +389,7 @@ func medianInPlace(xs []float64) float64 {
 		return xs[n/2]
 	}
 	// Halve before adding so the midpoint cannot overflow at float64 extremes.
-	return xs[n/2-1]/2 + xs[n/2]/2
+	return float64(xs[n/2-1]/2) + float64(xs[n/2]/2)
 }
 
 // StepResult records one refinement iteration for diagnostics and the

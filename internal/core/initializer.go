@@ -251,7 +251,7 @@ func (in *Initializer) Train(videos []TrainingVideo) error {
 func (in *Initializer) windowPeak(w chat.Window) float64 {
 	span := w.End - w.Start
 	if span <= 0 || len(w.Messages) == 0 {
-		return w.Start + span/2
+		return w.Start + float64(span/2)
 	}
 	bins := int(span)
 	if bins < 1 {

@@ -138,7 +138,7 @@ func (o *OnlineDetector) Feed(m chat.Message) ([]RedDot, error) {
 		o.closeCurrent()
 	}
 	if !o.open {
-		start := math.Floor(m.Time/size) * size
+		start := float64(math.Floor(m.Time/size) * size)
 		o.openWindow(start, start+size)
 	}
 	o.acc.Add(m.Text)
@@ -231,7 +231,7 @@ func (o *OnlineDetector) closeCurrent() {
 			o.pending = append(o.pending, onlineWindow{
 				start: start,
 				end:   start + size,
-				peak:  start + size/2,
+				peak:  start + float64(size/2),
 				feats: o.emptyFeats,
 			})
 		}

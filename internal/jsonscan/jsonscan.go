@@ -1,11 +1,17 @@
-// Package jsonscan holds the token scanners shared by the reflection-free
-// JSON codecs: the ingest endpoints' (chat.AppendMessagesJSON,
-// play.AppendEventsJSON) and the WAL replay's (platform.decodeWALRecord).
-// Each scanner reads one token of data starting at offset i and returns the
-// offset just past it. Any input whose decoding encoding/json defines by a
-// subtle rule (escapes, invalid UTF-8, loose number grammar) is refused with
-// ok == false, so a codec built on them either decodes exactly what the
-// stdlib would or falls back to it.
+// Package jsonscan is the reflection-free JSON reader shared by the
+// ingest endpoints' codecs (chat.AppendMessagesJSON, play.AppendEventsJSON)
+// and the WAL replay's (platform.decodeWALRecord). Object and Array walk a
+// container and hand each member or element to a callback that decodes it;
+// String, Int and Float read one scalar. Each reads data starting at offset
+// i and returns the offset just past what it read. Any input whose decoding
+// encoding/json defines by a subtle rule (escapes, invalid UTF-8, loose
+// number grammar) is refused with ok == false, so a codec built on them
+// either decodes exactly what the stdlib would or falls back to it.
+//
+// The walkers know no field and no repeated-key policy. encoding/json lets
+// a repeated key overwrite a scalar but merges a repeated object or array
+// into the earlier value; a caller whose members hold containers refuses a
+// repeated key itself.
 package jsonscan
 
 import (
@@ -25,6 +31,71 @@ func SkipSpace(data string, i int) int {
 		}
 	}
 	return i
+}
+
+// Object walks the object at data[i], handing each member's key and the
+// offset of its value (whitespace skipped) to member, which decodes the
+// value and returns the offset just past it. Object returns the offset just
+// past the closing brace.
+func Object(data string, i int, member func(key string, i int) (next int, ok bool)) (next int, ok bool) {
+	if i >= len(data) || data[i] != '{' {
+		return 0, false
+	}
+	if i = SkipSpace(data, i+1); i < len(data) && data[i] == '}' {
+		return i + 1, true
+	}
+	for {
+		key, kn, kok := String(data, SkipSpace(data, i))
+		if !kok {
+			return 0, false
+		}
+		if i = SkipSpace(data, kn); i >= len(data) || data[i] != ':' {
+			return 0, false
+		}
+		if i, ok = member(key, SkipSpace(data, i+1)); !ok {
+			return 0, false
+		}
+		var more bool
+		if i, more, ok = separator(data, i, '}'); !more {
+			return i, ok
+		}
+	}
+}
+
+// Array walks the array at data[i], handing the offset of each element
+// (whitespace skipped) to elem, which decodes it and returns the offset just
+// past it. Array returns the offset just past the closing bracket.
+func Array(data string, i int, elem func(i int) (next int, ok bool)) (next int, ok bool) {
+	if i >= len(data) || data[i] != '[' {
+		return 0, false
+	}
+	if i = SkipSpace(data, i+1); i < len(data) && data[i] == ']' {
+		return i + 1, true
+	}
+	for {
+		if i, ok = elem(SkipSpace(data, i)); !ok {
+			return 0, false
+		}
+		var more bool
+		if i, more, ok = separator(data, i, ']'); !more {
+			return i, ok
+		}
+	}
+}
+
+// separator reads what follows a member or an element: a comma, after which
+// more is true, or the container's closing byte. next is the offset just
+// past it.
+func separator(data string, i int, closing byte) (next int, more, ok bool) {
+	if i = SkipSpace(data, i); i < len(data) {
+		switch data[i] {
+		case ',':
+			return i + 1, true, true
+		case closing:
+			return i + 1, false, true
+		}
+	}
+	return 0, false, false
 }
 
 // String scans a double-quoted string starting at data[i] and returns the

@@ -74,13 +74,13 @@ func (m *LogisticRegression) Fit(X [][]float64, y []int) error {
 		for i, row := range X {
 			err := m.probability(row) - float64(y[i])
 			for j, x := range row {
-				grad[j] += err * x
+				grad[j] += float64(err * x)
 			}
 			gradBias += err
 		}
 		for j := range m.Weights {
-			g := grad[j]/n + m.L2*m.Weights[j]
-			m.Weights[j] -= m.LearningRate * g
+			g := grad[j]/n + float64(m.L2*m.Weights[j])
+			m.Weights[j] -= float64(m.LearningRate * g)
 		}
 		m.Bias -= m.LearningRate * gradBias / n
 	}
@@ -90,7 +90,7 @@ func (m *LogisticRegression) Fit(X [][]float64, y []int) error {
 func (m *LogisticRegression) probability(row []float64) float64 {
 	z := m.Bias
 	for j, w := range m.Weights {
-		z += w * row[j]
+		z += float64(w * row[j])
 	}
 	return Sigmoid(z)
 }

@@ -40,8 +40,8 @@ func (a *Adam) Step(params []Param) {
 	for i, p := range params {
 		m, v := a.m[i], a.v[i]
 		for j, g := range p.Grad {
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
+			m[j] = float64(a.Beta1*m[j]) + float64((1-a.Beta1)*g)
+			v[j] = float64(a.Beta2*v[j]) + float64((1-a.Beta2)*g*g)
 			mHat := m[j] / c1
 			vHat := v[j] / c2
 			p.Data[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)

@@ -51,7 +51,7 @@ func (c *SeqClassifier) TrainBatch(seqs [][]int, labels []int) float64 {
 		y := float64(labels[i])
 		loss += bce(p, y)
 		// d(BCE)/d(logit) = p - y; scale by 1/batch for a mean gradient.
-		dh := c.Head.Backward(h, (p-y)*inv)
+		dh := c.Head.Backward(h, float64((p-y)*inv))
 		c.LSTM.Backward(caches, dh)
 	}
 	c.opt.Step(c.params())
@@ -109,7 +109,7 @@ func (c *JointClassifier) TrainBatch(chatSeqs [][]int, frameSeqs [][][]float64, 
 		p := sigmoid(c.Head.Forward(joint))
 		y := float64(labels[i])
 		loss += bce(p, y)
-		dJoint := c.Head.Backward(joint, (p-y)*inv)
+		dJoint := c.Head.Backward(joint, float64((p-y)*inv))
 		c.ChatLSTM.Backward(cachesC, dJoint[:len(hc)])
 		c.VideoLSTM.Backward(cacheV, dJoint[len(hc):])
 	}

@@ -44,7 +44,7 @@ func NewDense(rng *rand.Rand, inDim int) *Dense {
 func (d *Dense) Forward(x []float64) float64 {
 	z := d.B[0]
 	for i, w := range d.W {
-		z += w * x[i]
+		z += float64(w * x[i])
 	}
 	return z
 }
@@ -54,7 +54,7 @@ func (d *Dense) Forward(x []float64) float64 {
 func (d *Dense) Backward(x []float64, dz float64) []float64 {
 	dx := make([]float64, d.InDim)
 	for i := range d.W {
-		d.dW[i] += dz * x[i]
+		d.dW[i] += float64(dz * x[i])
 		dx[i] = dz * d.W[i]
 	}
 	d.dB[0] += dz

@@ -72,7 +72,7 @@ func (l *LSTM) stepInfer(st *InferState, xIndex int, xVec, h, c []float64) {
 			row := l.Wx.Row(r)
 			var s float64
 			for j, v := range xVec {
-				s += row[j] * v
+				s += float64(row[j] * v)
 			}
 			z[r] += s
 		}
@@ -83,7 +83,7 @@ func (l *LSTM) stepInfer(st *InferState, xIndex int, xVec, h, c []float64) {
 		row := l.Wh.Row(r)
 		var s float64
 		for j, v := range h {
-			s += row[j] * v
+			s += float64(row[j] * v)
 		}
 		z[r] += s
 	}
@@ -95,7 +95,7 @@ func (l *LSTM) stepInfer(st *InferState, xIndex int, xVec, h, c []float64) {
 		gg[j] = math.Tanh(z[3*H+j])
 	}
 	for j := 0; j < H; j++ {
-		c[j] = gf[j]*c[j] + gi[j]*gg[j]
+		c[j] = float64(gf[j]*c[j]) + float64(gi[j]*gg[j])
 		h[j] = go_[j] * math.Tanh(c[j])
 	}
 }

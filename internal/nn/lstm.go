@@ -78,7 +78,7 @@ func (l *LSTM) step(xIndex int, xVec, hPrev, cPrev []float64) lstmStep {
 			row := l.Wx.Row(r)
 			var s float64
 			for j, v := range xVec {
-				s += row[j] * v
+				s += float64(row[j] * v)
 			}
 			z[r] += s
 		}
@@ -89,7 +89,7 @@ func (l *LSTM) step(xIndex int, xVec, hPrev, cPrev []float64) lstmStep {
 		row := l.Wh.Row(r)
 		var s float64
 		for j, v := range hPrev {
-			s += row[j] * v
+			s += float64(row[j] * v)
 		}
 		z[r] += s
 	}
@@ -107,7 +107,7 @@ func (l *LSTM) step(xIndex int, xVec, hPrev, cPrev []float64) lstmStep {
 		st.f[j] = sigmoid(z[H+j])
 		st.o[j] = sigmoid(z[2*H+j])
 		st.g[j] = math.Tanh(z[3*H+j])
-		st.c[j] = st.f[j]*cPrev[j] + st.i[j]*st.g[j]
+		st.c[j] = float64(st.f[j]*cPrev[j]) + float64(st.i[j]*st.g[j])
 		st.tanhC[j] = math.Tanh(st.c[j])
 		st.h[j] = st.o[j] * st.tanhC[j]
 	}
@@ -187,14 +187,14 @@ func (l *LSTM) BackwardSeq(cache *LSTMCache, dhSeq [][]float64) [][]float64 {
 		for j := 0; j < H; j++ {
 			// h = o * tanh(c)
 			do := dh[j] * st.tanhC[j]
-			dcTotal[j] = dc[j] + dh[j]*st.o[j]*(1-st.tanhC[j]*st.tanhC[j])
+			dcTotal[j] = dc[j] + float64(dh[j]*st.o[j]*(1-float64(st.tanhC[j]*st.tanhC[j])))
 			di := dcTotal[j] * st.g[j]
 			df := dcTotal[j] * st.cPrev[j]
 			dg := dcTotal[j] * st.i[j]
 			dz[j] = di * st.i[j] * (1 - st.i[j])
 			dz[H+j] = df * st.f[j] * (1 - st.f[j])
 			dz[2*H+j] = do * st.o[j] * (1 - st.o[j])
-			dz[3*H+j] = dg * (1 - st.g[j]*st.g[j])
+			dz[3*H+j] = dg * (1 - float64(st.g[j]*st.g[j]))
 		}
 
 		// Parameter gradients.
@@ -204,8 +204,8 @@ func (l *LSTM) BackwardSeq(cache *LSTMCache, dhSeq [][]float64) [][]float64 {
 				wRow := l.Wx.Row(r)
 				gRow := l.dWx.Row(r)
 				for j, v := range st.xVec {
-					gRow[j] += dz[r] * v
-					dx[j] += dz[r] * wRow[j]
+					gRow[j] += float64(dz[r] * v)
+					dx[j] += float64(dz[r] * wRow[j])
 				}
 			}
 			dxs[t] = dx
@@ -219,8 +219,8 @@ func (l *LSTM) BackwardSeq(cache *LSTMCache, dhSeq [][]float64) [][]float64 {
 			wRow := l.Wh.Row(r)
 			gRow := l.dWh.Row(r)
 			for j := 0; j < H; j++ {
-				gRow[j] += dz[r] * st.hPrev[j]
-				dhPrev[j] += dz[r] * wRow[j]
+				gRow[j] += float64(dz[r] * st.hPrev[j])
+				dhPrev[j] += float64(dz[r] * wRow[j])
 			}
 			l.dB[r] += dz[r]
 		}

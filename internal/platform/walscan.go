@@ -11,15 +11,19 @@ import (
 
 // This file is decodeWALRecord's fast path: a reflection-free parser for
 // the records json.Marshal writes on the hot write paths — put_video,
-// events, ckpt and del_ckpt — built from the ingest endpoints' scanners.
-// It either produces the walRecord json.Unmarshal would or refuses, and
+// events, ckpt and del_ckpt — that walks each object with jsonscan.Object
+// and decodes a record's event and chat arrays with the ingest endpoints'
+// own decoders (play.ScanEventsJSON, chat.ScanMessagesJSON). It either
+// produces the walRecord json.Unmarshal would or refuses, and
 // decodeWALRecord then asks json.Unmarshal; FuzzDecodeWALRecord enforces
 // the equivalence differentially. Refused are the keys it does not know
 // (dots, spans, red_dots, boundaries, any case-folded spelling), null
 // anywhere but a video's chat, any string holding an escape (jsonscan
 // leaves escapes to encoding/json), and a key that repeats: encoding/json
 // merges a repeated object or array into the earlier value, a rule only it
-// should implement.
+// should implement. That refusal is scanObject's, not jsonscan's: the
+// ingest decoders hold no container values, so for them a repeated key
+// overwrites, as in the stdlib.
 //
 // The payload is copied to one string per record (the WAL's scan buffer is
 // reused) and every decoded string is a substring of it. Before the record
@@ -133,46 +137,20 @@ func scanVideoSnapshot(data string, i int) (v *videoSnapshot, next int, ok bool)
 	return v, next, ok
 }
 
-// scanObject walks the object at data[i], handing each member's key and
-// value offset to member, which decodes the value and returns the offset
-// past it and the key's bit. It refuses a key that repeats and returns the
-// offset past the closing brace.
+// scanObject walks the object at data[i] with jsonscan.Object, handing each
+// member's key and value offset to member, which decodes the value and
+// returns the offset past it and the key's bit. It refuses a key that
+// repeats and returns the offset past the closing brace.
 func scanObject(data string, i int, member func(key string, i int) (next, bit int, ok bool)) (next int, ok bool) {
-	if i >= len(data) || data[i] != '{' {
-		return 0, false
-	}
-	i = jsonscan.SkipSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return i + 1, true
-	}
 	seen := 0
-	for {
-		key, kn, kok := jsonscan.String(data, i)
-		if !kok {
-			return 0, false
-		}
-		i = jsonscan.SkipSpace(data, kn)
-		if i >= len(data) || data[i] != ':' {
-			return 0, false
-		}
-		vn, bit, vok := member(key, jsonscan.SkipSpace(data, i+1))
-		if !vok || seen&bit != 0 {
+	return jsonscan.Object(data, i, func(key string, i int) (int, bool) {
+		next, bit, ok := member(key, i)
+		if !ok || seen&bit != 0 {
 			return 0, false
 		}
 		seen |= bit
-		i = jsonscan.SkipSpace(data, vn)
-		if i >= len(data) {
-			return 0, false
-		}
-		switch data[i] {
-		case ',':
-			i = jsonscan.SkipSpace(data, i+1)
-		case '}':
-			return i + 1, true
-		default:
-			return 0, false
-		}
-	}
+		return next, true
+	})
 }
 
 // scanBase64 decodes a []byte field the way encoding/json does: a string

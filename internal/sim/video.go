@@ -167,7 +167,7 @@ func GenerateVideo(rng *rand.Rand, p Profile, id string) Video {
 		// is precisely what defeats unadjusted detectors (Figure 7a) and
 		// creates the Type I red dots the extractor must repair (Figure 8).
 		r := rng.Float64()
-		length := p.MinHighlightLen + (p.MaxHighlightLen-p.MinHighlightLen)*r*r
+		length := p.MinHighlightLen + float64((p.MaxHighlightLen-p.MinHighlightLen)*r*r)
 		start := stats.Uniform(rng, 60, duration-length-60)
 		ok := true
 		for _, h := range highlights {

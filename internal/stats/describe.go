@@ -39,7 +39,7 @@ func Variance(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(len(xs))
 }
@@ -94,7 +94,7 @@ func Median(xs []float64) float64 {
 		return s[n/2]
 	}
 	// Halve before adding so the midpoint cannot overflow at float64 extremes.
-	return s[n/2-1]/2 + s[n/2]/2
+	return float64(s[n/2-1]/2) + float64(s[n/2]/2)
 }
 
 // Quantile returns the p-quantile of xs (0 ≤ p ≤ 1) using linear
@@ -117,14 +117,14 @@ func Quantile(xs []float64, p float64) float64 {
 	if n == 1 {
 		return s[0]
 	}
-	pos := p * float64(n-1)
+	pos := float64(p * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // ArgMax returns the index of the largest element of xs, breaking ties in

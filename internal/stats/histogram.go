@@ -83,7 +83,7 @@ func (h *Histogram) BinIndex(x float64) (int, bool) {
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.width
+	return h.lo + float64((float64(i)+0.5)*h.width)
 }
 
 // Add records a single observation at x with weight 1. Observations outside

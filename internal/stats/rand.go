@@ -15,12 +15,12 @@ func NewRand(seed int64) *rand.Rand {
 // Normal samples from a normal distribution with the given mean and
 // standard deviation.
 func Normal(rng *rand.Rand, mean, stddev float64) float64 {
-	return rng.NormFloat64()*stddev + mean
+	return float64(rng.NormFloat64()*stddev) + mean
 }
 
 // Uniform samples uniformly from [lo, hi).
 func Uniform(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }
 
 // Poisson samples from a Poisson distribution with rate lambda using

@@ -120,7 +120,7 @@ func (a *SimilarityAccumulator) Add(message string) (words int) {
 		w := 1 / math.Sqrt(float64(k))
 		for _, id := range a.distinct {
 			c, wt := a.counts[id], a.weights[id]
-			a.dotSum += c*w + wt + w
+			a.dotSum += float64(c*w) + wt + w
 			a.sumSq += 2*c + 1
 			a.counts[id] = c + 1
 			a.weights[id] = wt + w

@@ -30,7 +30,7 @@ func Vectorize(vocab *Vocabulary, messages []string) [][]float64 {
 func Dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
